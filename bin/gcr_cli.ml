@@ -192,9 +192,9 @@ let test_en_arg =
 let paranoid_arg =
   let doc =
     "Run the checked pipeline: validate inputs up front, re-derive every \
-     structural invariant between stages, and degrade through reference \
-     engines (dense oracle, direct table scans, relaxed skew budget) \
-     instead of failing. Degradations are reported on stderr."
+     structural invariant between stages, and degrade through fallback \
+     rungs (signature kernel off, relaxed skew budget) instead of \
+     failing. Degradations are reported on stderr."
   in
   Arg.(value & flag & info [ "paranoid" ] ~doc)
 
@@ -277,11 +277,12 @@ let run_comparison config profile sinks ~reduction ~skew_budget ~size ~shards
       eco = eco_of_flag eco;
     }
   in
-  let skew_budget = if skew_budget > 0.0 then Some skew_budget else None in
   let work () =
     let buffered =
       Util.Obs.span ~name:"route:buffered" (fun () ->
-          Gcr.Buffered.route ?skew_budget config profile sinks)
+          Gcr.Buffered.route
+            ?skew_budget:(Gcr.Flow.skew_budget options)
+            config profile sinks)
     in
     let gated =
       Util.Obs.span ~name:"route:gated" (fun () ->
@@ -303,15 +304,7 @@ let run_comparison config profile sinks ~reduction ~skew_budget ~size ~shards
             errs;
           exit
             (match errs with e :: _ -> Util.Gcr_error.exit_code e | [] -> 70)
-      else
-        let r =
-          Util.Obs.span ~name:"reduce" (fun () ->
-              Gcr.Flow.apply_reduction options gated)
-        in
-        let r =
-          Util.Obs.span ~name:"share" (fun () -> Gcr.Flow.apply_share options r)
-        in
-        Util.Obs.span ~name:"size" (fun () -> Gcr.Flow.apply_sizing options r)
+      else Gcr.Flow.optimize options gated
     in
     let reduced =
       if test_en then Gcr.Gated_tree.with_test_en reduced true else reduced

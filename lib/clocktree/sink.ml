@@ -15,6 +15,13 @@ let validate_array sinks =
         invalid_arg (Printf.sprintf "Sink.validate_array: sink %d has id %d" i s.id))
     sinks
 
+let subset sinks idxs =
+  Array.mapi
+    (fun j gi ->
+      let s = sinks.(gi) in
+      make ~id:j ~loc:s.loc ~cap:s.cap ~module_id:s.module_id)
+    idxs
+
 let pp ppf s =
   Format.fprintf ppf "sink %d @@ %a (%.1f fF, module %d)" s.id Geometry.Point.pp
     s.loc s.cap s.module_id

@@ -20,4 +20,9 @@ val validate_array : t array -> unit
     raises [Invalid_argument] otherwise. Every tree-construction entry point
     calls this. *)
 
+val subset : t array -> int array -> t array
+(** [subset sinks idxs] is the sinks at indices [idxs], re-indexed to
+    dense ids [0..k-1] in [idxs] order, as {!validate_array} requires of
+    any router input (a shard region, an ECO repair region). *)
+
 val pp : Format.formatter -> t -> unit

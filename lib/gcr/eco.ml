@@ -88,17 +88,6 @@ let stale_roots topo drifted =
   done;
   !roots
 
-(* Dense local re-indexing of a repair region's sinks, as
-   Sink.validate_array requires of any router input (the sharded
-   router's pattern). *)
-let local_sinks sinks idxs =
-  Array.mapi
-    (fun j gi ->
-      let s = sinks.(gi) in
-      Clocktree.Sink.make ~id:j ~loc:s.Clocktree.Sink.loc
-        ~cap:s.Clocktree.Sink.cap ~module_id:s.Clocktree.Sink.module_id)
-    idxs
-
 (* Re-emit the old topology with each stale subtree replaced by its
    freshly re-merged counterpart, postorder so node ids stay
    children-before-parents (Topo.swap's emission pattern). Stale roots
@@ -144,13 +133,6 @@ let threshold_of (options : Flow.options) =
   | Flow.Eco { threshold } -> threshold
   | Flow.No_eco -> default_threshold
 
-let finish ~options ~test_en routed =
-  let t =
-    Flow.apply_sizing options
-      (Flow.apply_share options (Flow.apply_reduction options routed))
-  in
-  if test_en then Gated_tree.with_test_en t true else t
-
 let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
   Util.Obs.span ~name:"eco.repair" (fun () ->
       let threshold =
@@ -160,7 +142,9 @@ let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
       let topo = tree.Gated_tree.topo in
       let sinks = tree.Gated_tree.sinks in
       let config = tree.Gated_tree.config in
-      let test_en = tree.Gated_tree.test_en in
+      let with_test_en t =
+        if tree.Gated_tree.test_en then Gated_tree.with_test_en t true else t
+      in
       let stale = stale_roots topo drifted in
       let root_id = Clocktree.Topo.root topo in
       let n_sinks = Clocktree.Topo.n_sinks topo in
@@ -176,8 +160,7 @@ let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
            re-route with none of the freedom. Run the ordinary pipeline
            instead; locality only pays when the stale region is small. *)
         Util.Obs.add resink_counter n_sinks;
-        let t = Flow.run ~options config profile sinks in
-        let t = if test_en then Gated_tree.with_test_en t true else t in
+        let t = with_test_en (Flow.run ~options config profile sinks) in
         { tree = t; drifted; stale; resinks = n_sinks; full_rebuild = true }
       end
       else begin
@@ -187,7 +170,7 @@ let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
           (fun r ->
             let leaves = Array.of_list (Clocktree.Topo.leaves_under topo r) in
             resinks := !resinks + Array.length leaves;
-            let ls = local_sinks sinks leaves in
+            let ls = Clocktree.Sink.subset sinks leaves in
             let f = Router.forest config profile ls in
             Router.run f;
             Hashtbl.replace repairs r
@@ -195,10 +178,6 @@ let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
           stale;
         Util.Obs.add resink_counter !resinks;
         let topo' = if stale = [] then topo else splice topo repairs in
-        let skew_budget =
-          if options.Flow.skew_budget > 0.0 then Some options.Flow.skew_budget
-          else None
-        in
         (* Even with no stale subtree the tree is rebuilt over the new
            profile: every node's enable statistics moved (sub-threshold),
            and reduce/share/size decide on those numbers. The merge
@@ -206,9 +185,9 @@ let repair ?threshold ~(options : Flow.options) (tree : Gated_tree.t) profile =
            DME embedding is recomputed because zero skew is a global
            constraint. *)
         let routed =
-          Gated_tree.build ?skew_budget config profile sinks topo'
-            ~kind:(fun _ -> Gated_tree.Gated)
+          Gated_tree.build ?skew_budget:(Flow.skew_budget options) config
+            profile sinks topo' ~kind:(fun _ -> Gated_tree.Gated)
         in
-        let t = finish ~options ~test_en routed in
+        let t = with_test_en (Flow.optimize options routed) in
         { tree = t; drifted; stale; resinks = !resinks; full_rebuild = false }
       end)

@@ -46,28 +46,31 @@ let apply_sizing options tree =
   | Uniform k -> Sizing.uniform tree k
   | Proportional -> Sizing.proportional tree
 
-let budget options =
+let skew_budget options =
   if options.skew_budget > 0.0 then Some options.skew_budget else None
 
 let route_with_options options config profile sinks =
-  let skew_budget = budget options in
+  let skew_budget = skew_budget options in
   match options.shards with
   | Flat -> Router.route ?skew_budget config profile sinks
   | Auto_shards -> Shard_router.route ?skew_budget config profile sinks
   | Shards s -> Shard_router.route ?skew_budget ~shards:s config profile sinks
 
-let run ?(options = default) config profile sinks =
-  let tree =
-    Util.Obs.span ~name:"route" (fun () ->
-        route_with_options options config profile sinks)
-  in
-  let reduced =
-    Util.Obs.span ~name:"reduce" (fun () -> apply_reduction options tree)
-  in
-  let shared =
-    Util.Obs.span ~name:"share" (fun () -> apply_share options reduced)
-  in
-  Util.Obs.span ~name:"size" (fun () -> apply_sizing options shared)
+(* The post-route stages in pipeline order: span name, the degradation
+   the checked run takes when the stage fails, and the pass itself. *)
+let stages =
+  [
+    ( "reduce",
+      "skipping gate reduction, keeping the fully gated tree",
+      apply_reduction );
+    ("share", "skipping gate sharing, keeping per-subtree enables", apply_share);
+    ("size", "skipping gate sizing, keeping unit scales", apply_sizing);
+  ]
+
+let optimize options tree =
+  List.fold_left
+    (fun tree (name, _, f) -> Util.Obs.span ~name (fun () -> f options tree))
+    tree stages
 
 (* ------------------------------------------------------------------ *)
 (* Checked pipeline                                                   *)
@@ -79,11 +82,7 @@ type limits = { wall_seconds : float option; max_merge_steps : int option }
 
 let no_limits = { wall_seconds = None; max_merge_steps = None }
 
-type event = {
-  stage : string;
-  action : string;
-  error : Util.Gcr_error.t option;
-}
+type event = { stage : string; action : string; error : Util.Gcr_error.t }
 
 (* Ladder attempts and degradation events, mirrored into the run report
    so a traced run shows how far down the ladder it went. *)
@@ -92,11 +91,8 @@ let rungs_counter = Util.Obs.counter "flow.rungs"
 let degraded_counter = Util.Obs.counter "flow.degraded"
 
 let pp_event ppf e =
-  match e.error with
-  | None -> Format.fprintf ppf "[%s] %s" e.stage e.action
-  | Some err ->
-    Format.fprintf ppf "[%s] %s (after: %a)" e.stage e.action Util.Gcr_error.pp
-      err
+  Format.fprintf ppf "[%s] %s (after: %a)" e.stage e.action Util.Gcr_error.pp
+    e.error
 
 (* Input validation: every check appends rather than aborting, so a bad
    input is reported with all its problems at once. *)
@@ -261,19 +257,17 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
              (Cost.w_total tree)
        in
        let attempt stage f =
-         match
-           Util.Obs.span ~name:stage (fun () ->
-               Util.Gcr_error.guard ~stage (fun () ->
-                   let t = f () in
-                   boundary stage t;
-                   t))
-         with
-         | Ok _ as ok -> ok
-         | Error e -> Error e
+         Util.Obs.span ~name:stage (fun () ->
+             Util.Gcr_error.guard ~stage (fun () ->
+                 let t = f () in
+                 boundary stage t;
+                 t))
        in
-       let skew_budget = budget options in
-       (* The routing degradation ladder, in order: fast NN-heap engine;
-          all-pairs dense oracle; dense oracle with the signature kernel
+       let skew_budget = skew_budget options in
+       (* The routing degradation ladder, in order: the sharded engine
+          (only when sharding is requested; a failure there degrades to
+          the flat route, same answer contract, more wall time); the flat
+          NN-heap engine; the same engine with the signature kernel
           disabled (direct IFT/IMATT scans); finally a bounded-skew retry
           absorbing an infeasible exact zero-skew embedding. *)
        let retry_budget =
@@ -282,49 +276,27 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
               (Option.value skew_budget ~default:0.0)
               (retry_skew_budget config sinks))
        in
-       (* With sharding requested, the sharded route is a rung above the
-          flat NN-heap engine: a failure there degrades to the flat route
-          (same answer contract, more wall time), then down the usual
-          ladder. *)
-       let sharded_rungs =
-         match options.shards with
-         | Flat -> []
-         | Auto_shards ->
-           [
-             ( "route:sharded",
-               "routing region-parallel with the sharded engine",
-               fun () -> Shard_router.route ?skew_budget config profile sinks );
-           ]
-         | Shards s ->
-           [
-             ( "route:sharded",
-               Printf.sprintf
-                 "routing region-parallel with the sharded engine (%d shards)" s,
-               fun () ->
-                 Shard_router.route ?skew_budget ~shards:s config profile sinks );
-           ]
+       let flat profile skew_budget () =
+         Router.route ?skew_budget config profile sinks
        in
+       let tables = Activity.Profile.tables_only profile in
        let rungs =
-         sharded_rungs
+         (match options.shards with
+          | Flat -> []
+          | Auto_shards | Shards _ ->
+            [
+              ( "route:sharded",
+                "routing region-parallel with the sharded engine",
+                fun () -> route_with_options options config profile sinks );
+            ])
          @ [
-           ( "route",
-             "routing with the NN-heap engine",
-             fun () -> Router.route ?skew_budget config profile sinks );
-           ( "route:dense",
-             "falling back to the all-pairs dense merge oracle",
-             fun () -> Router.route_dense ?skew_budget config profile sinks );
-           ( "route:dense:tables",
+           ("route", "routing with the NN-heap engine", flat profile skew_budget);
+           ( "route:tables",
              "disabling the signature kernel: direct IFT/IMATT table scans",
-             fun () ->
-               Router.route_dense ?skew_budget config
-                 (Activity.Profile.tables_only profile)
-                 sinks );
-           ( "route:dense:tables:skew-budget",
+             flat tables skew_budget );
+           ( "route:tables:skew-budget",
              "retrying with a relaxed skew budget",
-             fun () ->
-               Router.route_dense ?skew_budget:retry_budget config
-                 (Activity.Profile.tables_only profile)
-                 sinks );
+             flat tables retry_budget );
          ]
        in
        (* The wall budget is re-checked between every pair of rungs (and
@@ -346,8 +318,7 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
              | Error e ->
                (match rest with
                 | (next_stage, next_action, _) :: _ ->
-                  on_event
-                    { stage = next_stage; action = next_action; error = Some e }
+                  on_event { stage = next_stage; action = next_action; error = e }
                 | [] -> ());
                ladder (e :: errors) rest
            end
@@ -355,9 +326,9 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
        (match ladder [] rungs with
         | Error _ as err -> err
         | Ok (rung, routed) ->
-          (* Reduction and sizing degrade to "skip the stage": the routed
-             tree is already a correct (if costlier) answer, so a failing
-             optimisation pass is dropped, not fatal. *)
+          (* The post-route stages degrade to "skip the stage": the
+             routed tree is already a correct (if costlier) answer, so a
+             failing optimisation pass is dropped, not fatal. *)
           let optional stage action f tree =
             if out_of_time () then begin
               on_event
@@ -365,7 +336,7 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
                   stage;
                   action = "skipped: wall-clock budget exhausted; returning \
                             the partial (unoptimised) result";
-                  error = Some (time_error stage);
+                  error = time_error stage;
                 };
               tree
             end
@@ -373,27 +344,30 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
               match attempt stage (fun () -> f tree) with
               | Ok t -> t
               | Error e ->
-                on_event { stage; action; error = Some e };
+                on_event { stage; action; error = e };
                 tree
           in
-          let reduced =
-            optional "reduce" "skipping gate reduction, keeping the fully \
-                               gated tree" (apply_reduction options) routed
+          let tree =
+            List.fold_left
+              (fun tree (stage, action, f) ->
+                optional stage action (f options) tree)
+              routed stages
           in
-          let shared =
-            optional "share" "skipping gate sharing, keeping per-subtree \
-                              enables" (apply_share options) reduced
-          in
-          let sized =
-            optional "size" "skipping gate sizing, keeping unit scales"
-              (apply_sizing options) shared
-          in
-          Ok { tree = sized; rung; degraded = List.rev !events }))
+          Ok { tree; rung; degraded = List.rev !events }))
 
 let run_checked ?mode ?limits ?on_event ?options config profile sinks =
   Result.map
     (fun c -> c.tree)
     (run_checked_info ?mode ?limits ?on_event ?options config profile sinks)
+
+(* The unchecked entry point is the checked run made strict: any
+   degradation, even one the ladder absorbed, raises its typed error. *)
+let run ?options config profile sinks =
+  match run_checked_info ?options config profile sinks with
+  | Ok { tree; degraded = []; _ } -> tree
+  | Ok { degraded = { error = e; _ } :: _; _ } | Error (e :: _) ->
+    Util.Gcr_error.raise_t e
+  | Error [] -> assert false
 
 let label options =
   let r =
@@ -429,11 +403,3 @@ let label options =
     | Eco { threshold } -> Printf.sprintf "+eco:%g" threshold
   in
   "gated" ^ r ^ s ^ sh ^ gs ^ e
-
-let standard_comparison ?(options = default) config profile sinks =
-  let skew_budget = budget options in
-  [
-    ("buffered", Buffered.route ?skew_budget config profile sinks);
-    ("gated", Router.route ?skew_budget config profile sinks);
-    (label options, run ~options config profile sinks);
-  ]

@@ -1,8 +1,10 @@
 (** One-call routing pipelines.
 
-    Bundles the common sequence — route, reduce gates, size — behind a
-    single options record, so applications (and the CLI, benches and
-    examples) do not each re-assemble the same glue. *)
+    Bundles the paper's sequence — route, then the post-route stages
+    reduce, share and size — behind a single options record. The stage
+    list lives here once: {!run_checked} walks it with a skip-on-failure
+    guard, {!optimize} folds it unchecked, and {!run} is the checked run
+    made strict. *)
 
 type reduction = No_reduction | Greedy | Rules | Fraction of float
 
@@ -43,37 +45,39 @@ val default : options
 (** Zero skew, greedy reduction, no sizing — the configuration behind the
     headline reproduction numbers. *)
 
+val skew_budget : options -> float option
+(** [options.skew_budget] as the routers take it: [None] for exact zero
+    skew, [Some b] for a positive budget. *)
+
 val route_with_options :
   options ->
   Config.t ->
   Activity.Profile.t ->
   Clocktree.Sink.t array ->
   Gated_tree.t
-(** The routing stage of {!run} alone: {!Router.route} or
+(** The routing stage alone, unchecked: {!Router.route} or
     {!Shard_router.route} according to [options.shards], with
-    [options.skew_budget] applied. *)
+    [options.skew_budget] applied — the tree the first ladder rung of
+    {!run_checked} builds. *)
 
 val apply_reduction : options -> Gated_tree.t -> Gated_tree.t
-(** The gate-reduction stage of {!run} alone, on an already-routed tree. *)
+(** The gate-reduction stage alone, on an already-routed tree. *)
 
 val apply_share : options -> Gated_tree.t -> Gated_tree.t
-(** The gate-sharing stage of {!run} alone (runs between reduction and
-    sizing). *)
+(** The gate-sharing stage alone (runs between reduction and sizing). *)
 
 val apply_sizing : options -> Gated_tree.t -> Gated_tree.t
-(** The sizing stage of {!run} alone. *)
+(** The sizing stage alone. *)
+
+val optimize : options -> Gated_tree.t -> Gated_tree.t
+(** The post-route stages — reduce, share, size — folded over a routed
+    tree, unchecked, each under an {!Util.Obs} span of its stage name.
+    The same stage list {!run_checked} walks, so
+    [optimize options (route_with_options options ...)] is {!run}'s tree
+    on any input the checked run routes without degradation. *)
 
 val label : options -> string
 (** Human-readable tag of the pipeline variant, e.g. ["gated+greedy+tapered"]. *)
-
-val run :
-  ?options:options ->
-  Config.t ->
-  Activity.Profile.t ->
-  Clocktree.Sink.t array ->
-  Gated_tree.t
-(** The full gated pipeline. Raises [Invalid_argument] on a malformed
-    fraction or scale inside [options], or on the usual input errors. *)
 
 (** {1 Checked pipeline} *)
 
@@ -97,7 +101,7 @@ val no_limits : limits
 type event = {
   stage : string;  (** pipeline stage about to run (or being skipped) *)
   action : string;  (** human-readable description of the degradation *)
-  error : Util.Gcr_error.t option;  (** the failure that triggered it *)
+  error : Util.Gcr_error.t;  (** the failure that triggered it *)
 }
 (** One graceful-degradation step: emitted through [on_event] every time
     {!run_checked} downgrades an engine or skips an optimisation stage. *)
@@ -113,7 +117,8 @@ val run_checked :
   Activity.Profile.t ->
   Clocktree.Sink.t array ->
   (Gated_tree.t, Util.Gcr_error.t list) result
-(** {!run} with every stage boundary wrapped: never raises.
+(** The full gated pipeline with every stage boundary wrapped: never
+    raises.
 
     Inputs are validated first (empty or mis-indexed sinks, non-finite
     coordinates or loads, module ids outside the profile's universe,
@@ -121,17 +126,19 @@ val run_checked :
     as [Degenerate_input] errors. Stray exceptions inside a stage are
     converted through {!Util.Gcr_error.of_exn} with the stage attached.
 
-    Routing walks a degradation ladder, emitting an [event] per
-    downgrade: the sharded region-parallel engine (only when [options]
-    request sharding), then the flat NN-heap engine, then the all-pairs
-    dense oracle, then
-    dense with the signature kernel disabled (direct IFT/IMATT scans),
-    then a relaxed-skew-budget retry; only when every rung fails is
-    [Error] returned, carrying one typed error per rung in order. Gate
-    reduction and sizing degrade to "skip the stage" — the routed tree
-    is already a correct answer, so a failing optimisation pass is
-    dropped with an event rather than failing the pipeline; gate sharing
-    (between them) degrades the same way, keeping per-subtree enables.
+    Routing walks a degradation ladder of at most four rungs, emitting an
+    [event] per downgrade: [route:sharded] (the region-parallel engine,
+    only when [options] request sharding), then [route] (the flat
+    NN-heap engine), then [route:tables] (the same engine with the
+    signature kernel disabled: direct IFT/IMATT scans), then
+    [route:tables:skew-budget] (a relaxed-skew-budget retry); only when
+    every rung fails is [Error] returned, carrying one typed error per
+    rung in order. Every rung costs what the flat route costs, so no
+    fallback needs more memory than the failure it recovers from. The
+    post-route stages (reduce, share, size — {!optimize}'s list) degrade
+    to "skip the stage": the routed tree is already a correct answer, so
+    a failing optimisation pass is dropped with an event rather than
+    failing the pipeline.
 
     [limits] bounds the work: too many required merge steps fail fast as
     [Resource_limit], and an exhausted time budget mid-pipeline returns
@@ -153,7 +160,7 @@ type checked = {
   tree : Gated_tree.t;
   rung : string;
       (** the ladder rung that produced the routed tree, e.g. ["route"]
-          or ["route:dense:tables"] *)
+          or ["route:tables"] *)
   degraded : event list;  (** degradation events, in emission order *)
 }
 (** {!run_checked}'s result with its provenance attached. *)
@@ -173,11 +180,14 @@ val run_checked_info :
     without threading a callback through a scheduler. [on_event] still
     fires as events happen (streaming), while [degraded] collects them. *)
 
-val standard_comparison :
+val run :
   ?options:options ->
   Config.t ->
   Activity.Profile.t ->
   Clocktree.Sink.t array ->
-  (string * Gated_tree.t) list
-(** The paper's Figure 3 trio over one input: [buffered], [gated]
-    (unreduced) and the pipeline result, labelled accordingly. *)
+  Gated_tree.t
+(** {!run_checked_info} in [Default] mode made strict: the tree when the
+    run took no degradation, otherwise raises
+    [Util.Gcr_error.Error e] with the first typed error — the first
+    degradation event's, or the first of the [Error] list (so invalid
+    input raises [Degenerate_input]). *)

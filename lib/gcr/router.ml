@@ -44,28 +44,17 @@ let merge t a b =
 (* Eq. (3) mixes probability and star terms, so there is no spatial
    lower bound to prune with; the scan-source engine still replaces the
    O(n^2)-entry pair heap with one entry per active root. *)
-let run ?(dense = false) t =
+let run t =
   let n = Clocktree.Grow.n_sinks t.grow in
   let cost a b = cost t a b and merge a b = merge t a b in
-  let _root =
-    if dense then Clocktree.Greedy.merge_all_dense ~n ~cost ~merge
-    else Clocktree.Greedy.merge_all ~n ~cost ~merge
-  in
-  ()
+  ignore (Clocktree.Greedy.merge_all ~n ~cost ~merge : int)
 
-let grow_and_merge ?dense (config : Config.t) profile sinks =
+let route_topology_only (config : Config.t) profile sinks =
   let f = forest config profile sinks in
-  run ?dense f;
+  run f;
   Clocktree.Grow.topology f.grow
 
-let route_topology_only config profile sinks = grow_and_merge config profile sinks
-
 let route ?skew_budget config profile sinks =
-  let topo = grow_and_merge config profile sinks in
-  Gated_tree.build ?skew_budget config profile sinks topo
-    ~kind:(fun _ -> Gated_tree.Gated)
-
-let route_dense ?skew_budget config profile sinks =
-  let topo = grow_and_merge ~dense:true config profile sinks in
+  let topo = route_topology_only config profile sinks in
   Gated_tree.build ?skew_budget config profile sinks topo
     ~kind:(fun _ -> Gated_tree.Gated)

@@ -23,18 +23,6 @@ val route :
     mis-indexed sink array, or when a sink's module id falls outside the
     profile's universe. *)
 
-val route_dense :
-  ?skew_budget:float ->
-  Config.t ->
-  Activity.Profile.t ->
-  Clocktree.Sink.t array ->
-  Gated_tree.t
-(** {!route} driven by the all-pairs reference engine
-    ({!Clocktree.Greedy.merge_all_dense}) instead of the NN-heap scan
-    engine — the degradation target of {!Flow}'s paranoid mode when the
-    fast engine's output fails an invariant check. Same contract as
-    {!route}. *)
-
 val route_topology_only :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> Clocktree.Topo.t
 (** Just the min-switched-capacitance topology (used by ablations that
@@ -67,7 +55,7 @@ val cost : forest -> int -> int -> float
 val merge : forest -> int -> int -> int
 (** Commit a merge (Grow + enable union); returns the new root id. *)
 
-val run : ?dense:bool -> forest -> unit
+val run : forest -> unit
 (** Greedy-merge the forest down to a single root with the NN-heap scan
-    engine (or the all-pairs reference engine when [dense]). Must be
-    called on a fresh forest — the engines start from the sink roots. *)
+    engine. Must be called on a fresh forest — the engine starts from
+    the sink roots. *)

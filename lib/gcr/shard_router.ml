@@ -32,16 +32,6 @@ let resolve_shards ?shards n =
       invalid_arg (Printf.sprintf "Shard_router: shards %d must be positive" s);
     min s n
 
-(* Re-index one region's sinks to dense local ids 0..k-1, as
-   Sink.validate_array requires of any router input. *)
-let local_sinks sinks idxs =
-  Array.mapi
-    (fun j gi ->
-      let s = sinks.(gi) in
-      Clocktree.Sink.make ~id:j ~loc:s.Clocktree.Sink.loc ~cap:s.Clocktree.Sink.cap
-        ~module_id:s.Clocktree.Sink.module_id)
-    idxs
-
 type plan = {
   regions : int array array;
   region_sinks : Clocktree.Sink.t array array;
@@ -106,7 +96,7 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
         Clocktree.Partition.bisect ~groups ~n_regions:shards sinks)
   in
   Util.Obs.add regions_counter (Array.length regions);
-  let region_sinks = Array.map (local_sinks sinks) regions in
+  let region_sinks = Array.map (Clocktree.Sink.subset sinks) regions in
   let region_merges =
     Util.Obs.span ~name:"shard:route-regions" (fun () ->
         Util.Parallel.map_dyn ~domains:domains_n

@@ -214,6 +214,66 @@ let test_minimize_preserves_failure () =
   Alcotest.(check bool) "still fails" true (F.fails check shrunk <> None);
   Alcotest.(check int) "minimal failing size" 5 (Array.length shrunk.S.sinks)
 
+(* Fuzz seed 0, case 224: the greedy scratch route under the drifted
+   profile is the outlier (W 1459.2), while the local repair and the old
+   topology re-embedded under that profile agree (W 1024.0). The ECO
+   oracle must accept a repair that beats scratch this way. *)
+let eco_cheaper_than_scratch = {|
+# gcr conformance scenario (re-runnable fuzz reproducer)
+tag seed 0 case 224
+die 500
+controllers 4
+control-weight 1
+tech 0.10000000000000001 0.20000000000000001 0.59999999999999998 20 400 30000 60 10 400 30000 30
+skew-budget 0
+reduction none
+sizing none
+shards flat
+gate-share none
+eco 0.080000000000000002
+test-en 0
+begin sinks
+# id x y cap module
+0 143.25 294.5 25.5 5
+1 251.75 335.5 44.75 13
+2 128.5 19.75 12.25 0
+3 190.75 218 44.75 6
+4 57 166 22.75 1
+5 408.5 55.25 23.75 12
+6 163.5 8 41 6
+7 281 210.25 50 10
+8 60 429.25 37.25 4
+9 104.5 196 15 5
+10 423.25 408 27.75 9
+11 310 283.75 33.5 13
+12 429 175.75 39.75 4
+13 48 59 28.75 7
+14 292 12.25 11.5 3
+15 117.75 338 46.5 3
+end sinks
+begin rtl
+modules M1 M2 M3 M4 M5 M6 M7 M8 M9 M10 M11 M12 M13 M14
+I1: M2 M3 M5 M12 M13 M14
+I2: M3 M6 M9 M10 M11 M12 M14
+end rtl
+begin stream
+I1 I2 I2 I1 I1 I1 I1 I1 I1 I2 I2 I2 I2 I2 I1 I1 I1 I2 I2 I2
+I2 I2 I1 I1 I1 I2 I2 I2 I2 I1 I1 I1 I2 I2 I2 I2 I2 I2 I2 I1
+I1 I1 I1 I2 I2 I2 I2 I1 I1 I2 I2 I2 I1 I1 I1 I1 I1 I2 I2 I1
+I1 I1 I1 I2 I2 I2 I2 I1 I1 I1 I1 I1 I1 I2 I2 I2 I2 I1 I2 I2
+I2 I2 I1 I1 I1 I2 I2 I2 I2 I2 I1 I1 I2 I1 I2 I2 I2 I2 I2 I2
+I2 I2 I2 I2 I2 I2 I2 I2 I2 I1 I2 I2 I2 I2 I2 I2 I2 I1 I1 I2
+I2 I2 I2 I2 I2 I2 I2 I2 I2 I2 I2 I2 I2 I2 I2
+end stream
+|}
+
+let test_eco_repair_beats_outlier_scratch () =
+  let sc = S.parse ~source:"seed0-case224" eco_cheaper_than_scratch in
+  Alcotest.(check int) "sinks" 16 (Array.length sc.S.sinks);
+  match F.fails F.check sc with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
 let () =
   Alcotest.run "conformance"
     [
@@ -240,5 +300,7 @@ let () =
             test_same_tree_detects_kind_flip;
           Alcotest.test_case "oracles pass on fixed scenario" `Quick
             test_oracles_pass_on_fixed_scenario;
+          Alcotest.test_case "eco repair beats an outlier scratch route" `Quick
+            test_eco_repair_beats_outlier_scratch;
         ] );
     ]

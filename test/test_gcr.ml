@@ -849,13 +849,6 @@ let test_flow_options () =
     tree.Gcr.Gated_tree.scale;
   Alcotest.(check int) "half gates" 11 (Gcr.Gated_tree.gate_count tree)
 
-let test_flow_standard_comparison () =
-  let config, profile, sinks = setup ~n:10 () in
-  let trio = Gcr.Flow.standard_comparison config profile sinks in
-  Alcotest.(check (list string)) "labels" [ "buffered"; "gated"; "gated+greedy" ]
-    (List.map fst trio);
-  List.iter (fun (_, t) -> Gcr.Gated_tree.check_invariants t) trio
-
 (* ------------------------------------------------------------------ *)
 (* Sharded router                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1288,7 +1281,6 @@ let () =
         [
           Alcotest.test_case "default matches manual" `Quick test_flow_default_matches_manual;
           Alcotest.test_case "options" `Quick test_flow_options;
-          Alcotest.test_case "standard comparison" `Quick test_flow_standard_comparison;
         ] );
       ( "eco",
         [

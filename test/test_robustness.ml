@@ -182,7 +182,7 @@ let test_zero_wall_clock_deterministic () =
   done
 
 (* A traced clean run records every executed stage exactly once, and no
-   degradation rung below the first. *)
+   ladder rung other than the first. *)
 let test_trace_stages_once () =
   let (result, report) =
     Util.Obs.run (fun () -> run_checked (sinks16 ()))
@@ -200,7 +200,10 @@ let test_trace_stages_once () =
         Alcotest.(check int) (name ^ " appears exactly once") 1 s.Util.Obs.calls
       | None -> Alcotest.failf "stage %s missing from the trace" name)
     [ "validate"; "route"; "reduce"; "size" ];
-  Alcotest.(check bool) "no fallback rung ran" true (top "route:dense" = None);
+  List.iter
+    (fun rung ->
+      Alcotest.(check bool) (rung ^ " did not run") true (top rung = None))
+    [ "route:sharded"; "route:tables"; "route:tables:skew-budget" ];
   Alcotest.(check (option int))
     "one ladder attempt" (Some 1)
     (List.assoc_opt "flow.rungs" report.Util.Obs.counters)
@@ -224,6 +227,33 @@ let test_checked_equals_unchecked () =
   | Error _ -> Alcotest.fail "checked pipeline failed on a clean input"
   | Ok checked ->
     Conformance.Oracles.same_tree ~what:"run_checked vs run" unchecked checked
+
+(* Flow.run is the checked run made strict: an input the checked run
+   rejects raises the same typed error, never a raw Invalid_argument from
+   inside a stage. *)
+let test_unchecked_raises_typed () =
+  let sinks = [| mk_sink 0 10.0 20.0 5.0 0; mk_sink 1 90.0 80.0 7.0 99 |] in
+  match Gcr.Flow.run (config ()) profile4 sinks with
+  | _ -> Alcotest.fail "module id outside the profile accepted"
+  | exception Util.Gcr_error.Error (Util.Gcr_error.Degenerate_input _) -> ()
+  | exception e ->
+    Alcotest.failf "expected Degenerate_input, got %s"
+      (Util.Gcr_error.message_of_exn e)
+
+(* The unchecked stage fold over a routed tree is the checked run's tree. *)
+let test_optimize_matches_run () =
+  let sinks = sinks16 () in
+  let options =
+    {
+      Gcr.Flow.default with
+      Gcr.Flow.sizing = Gcr.Flow.Tapered;
+      gate_share = Gcr.Flow.Share { min_instances = 1; eps = 0 };
+    }
+  in
+  let routed = Gcr.Flow.route_with_options options (config ()) profile4 sinks in
+  Conformance.Oracles.same_tree ~what:"optimize vs run"
+    (Gcr.Flow.run ~options (config ()) profile4 sinks)
+    (Gcr.Flow.optimize options routed)
 
 let test_no_events_on_clean_run () =
   let events = ref [] in
@@ -471,6 +501,10 @@ let () =
             test_paranoid_equals_default;
           Alcotest.test_case "checked equals unchecked" `Quick
             test_checked_equals_unchecked;
+          Alcotest.test_case "unchecked run raises typed errors" `Quick
+            test_unchecked_raises_typed;
+          Alcotest.test_case "optimize matches run" `Quick
+            test_optimize_matches_run;
           Alcotest.test_case "no events on a clean run" `Quick
             test_no_events_on_clean_run;
           Alcotest.test_case "run_checked_info clean rung" `Quick
