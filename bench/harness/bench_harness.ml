@@ -1398,21 +1398,22 @@ let serve_bench () =
   in
   let p50 = pct 0.50 and p99 = pct 0.99 in
   let rps = float_of_int total /. wall in
-  let cold = ref 0 and warm_hits = ref 0 and warm_total = ref 0 in
+  (* Each answer's audit runs on its own fresh pcache, so the hit rate
+     measures repeats within one tree, whether or not the workload was
+     warm. *)
+  let cold = ref 0 and audit_hits = ref 0 and audit_total = ref 0 in
   Array.iter
     (function
       | None -> ()
       | Some (a : Serve.Proto.answer) ->
-        if a.Serve.Proto.cache_warm then begin
-          warm_hits := !warm_hits + a.Serve.Proto.audit_hits;
-          warm_total :=
-            !warm_total + a.Serve.Proto.audit_hits + a.Serve.Proto.audit_misses
-        end
-        else incr cold)
+        if not a.Serve.Proto.cache_warm then incr cold;
+        audit_hits := !audit_hits + a.Serve.Proto.audit_hits;
+        audit_total :=
+          !audit_total + a.Serve.Proto.audit_hits + a.Serve.Proto.audit_misses)
     answers;
-  let warm_rate =
-    if !warm_total = 0 then 0.0
-    else float_of_int !warm_hits /. float_of_int !warm_total
+  let audit_rate =
+    if !audit_total = 0 then 0.0
+    else float_of_int !audit_hits /. float_of_int !audit_total
   in
   let open Util.Text_table in
   let t =
@@ -1428,7 +1429,8 @@ let serve_bench () =
   add_row t [ "latency p99 (ms)"; Printf.sprintf "%.2f" (p99 /. 1e6) ];
   add_row t [ "cold workload sightings"; string_of_int !cold ];
   add_row t
-    [ "warm audit pcache hit rate"; Printf.sprintf "%.1f%%" (100.0 *. warm_rate) ];
+    [ "per-request audit pcache hit rate";
+      Printf.sprintf "%.1f%%" (100.0 *. audit_rate) ];
   print t;
   (match !daemon_stats with
   | Some s ->
@@ -1440,8 +1442,8 @@ let serve_bench () =
     (Printf.sprintf
        "{\"requests\": %d, \"workloads\": %d, \"requests_per_s\": %.1f, \
         \"p50_ns\": %.1f, \"p99_ns\": %.1f, \"cold\": %d, \
-        \"warm_audit_hit_rate\": %.4f}"
-       total n_workloads rps p50 p99 !cold warm_rate)
+        \"audit_hit_rate\": %.4f}"
+       total n_workloads rps p50 p99 !cold audit_rate)
 
 (* ------------------------------------------------------------------ *)
 (* ECO repair: streaming chunk update + local repair vs full re-route  *)

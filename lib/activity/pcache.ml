@@ -25,26 +25,19 @@
 
    Concurrency contract (enforced, see [check_owner]): queries are
    single-writer. The scratch buffer, the buckets and the bypass decision
-   belong to exactly one domain at a time — the first domain to query
-   after creation or [reset]. A query from any other domain raises a
-   typed [Gcr_error.Internal] instead of silently corrupting the scratch
-   state (the bug class the serve daemon's shared registry must keep
-   extinct). The statistics, by contrast, are atomics: [stats],
-   [reset_stats] and [flush_obs] may be called from any domain while the
-   owner is mid-query, and [flush_obs] publishes every delta exactly once
-   (CAS on the flushed watermark), so a monitoring domain can flush a
-   worker's cache without tearing or double-counting. *)
+   belong to exactly one domain — the first domain to query after
+   creation. A query from any other domain raises a typed
+   [Gcr_error.Internal] instead of silently corrupting the scratch
+   state. The statistics, by contrast, are atomics: [stats] and
+   [flush_obs] may be called from any domain while the owner is
+   mid-query, and [flush_obs] publishes every delta exactly once (CAS on
+   the flushed watermark), so a monitoring domain can flush a worker's
+   cache without tearing or double-counting. *)
 
-(* [gen] stamps the profile generation the probability was computed
-   under. Entries of an older generation never answer: [set_profile]
-   clears the table outright, and the per-entry stamp backstops any
-   future path that swaps the profile without clearing — a memoized [p]
-   from a drifted profile must read as a miss, never as a stale hit. *)
-type entry = { key : Module_set.t; h : int; p : float; gen : int }
+type entry = { key : Module_set.t; h : int; p : float }
 
 type t = {
-  mutable profile : Profile.t;
-  mutable generation : int; (* bumped by every [set_profile] *)
+  profile : Profile.t;
   buf : Module_set.scratch;
   mutable buckets : entry list array; (* length is a power of two *)
   mutable size : int;
@@ -62,21 +55,11 @@ let chain_cap = 4
 
 let bypass_window = 1 lsl 14
 
-(* Initial bucket count sized so [capacity] entries fit without any
-   resize (growth triggers at size > 2 x buckets), clamped to
-   [256, max_buckets] and rounded up to a power of two. *)
-let initial_buckets capacity =
-  let target = max 256 (min max_buckets ((capacity + 1) / 2)) in
-  let rec pow2 b = if b >= target then b else pow2 (2 * b) in
-  pow2 256
-
-let create ?(capacity = 0) profile =
-  if capacity < 0 then invalid_arg "Pcache.create: negative capacity";
+let create profile =
   {
     profile;
-    generation = 0;
     buf = Module_set.scratch (Profile.n_modules profile);
-    buckets = Array.make (initial_buckets capacity) [];
+    buckets = Array.make 256 [];
     size = 0;
     owner = -1;
     hits = Atomic.make 0;
@@ -86,29 +69,8 @@ let create ?(capacity = 0) profile =
     bypass = false;
   }
 
-let profile t = t.profile
-
-let generation t = t.generation
-
-(* Swap the profile under the memo table. Everything memoized is now
-   suspect — the probabilities were computed from the old tables — so
-   the table is cleared and the generation bumped (entries carry their
-   generation, so even a survivor could never answer). The bypass
-   decision restarts too: the new workload may hit where the old one
-   didn't. Same call-context contract as [reset] (no query in flight);
-   the owner pin and the accounting are kept. *)
-let set_profile t profile =
-  if Profile.n_modules profile <> Module_set.scratch_universe t.buf then
-    invalid_arg "Pcache.set_profile: module universe mismatch";
-  t.profile <- profile;
-  t.generation <- t.generation + 1;
-  Array.fill t.buckets 0 (Array.length t.buckets) [];
-  t.size <- 0;
-  t.bypass <- false
-
-(* Single-writer enforcement: the first querying domain pins the cache;
-   [reset] unpins it (the sharded router resets a per-region cache before
-   handing it to the next worker). One int compare on the query path. *)
+(* Single-writer enforcement: the first querying domain pins the cache
+   for good. One int compare on the query path. *)
 let check_owner t =
   let me = (Domain.self () :> int) in
   if t.owner <> me then begin
@@ -116,8 +78,7 @@ let check_owner t =
     else
       Util.Gcr_error.internal ~stage:"Pcache"
         "single-writer contract violated: cache owned by domain %d queried \
-         from domain %d (create one cache per querying domain, or reset \
-         before handing it over)"
+         from domain %d (create one cache per querying domain)"
         t.owner me
   end
 
@@ -177,14 +138,14 @@ let lookup t =
       let p = Profile.p_scratch t.profile t.buf in
       if len < chain_cap then begin
         let key = Module_set.freeze t.buf in
-        t.buckets.(i) <- { key; h; p; gen = t.generation } :: t.buckets.(i);
+        t.buckets.(i) <- { key; h; p } :: t.buckets.(i);
         t.size <- t.size + 1;
         if t.size > 2 * Array.length t.buckets && Array.length t.buckets < max_buckets
         then resize t
       end;
       p
     | e :: tl ->
-      if e.gen = t.generation && e.h = h && Module_set.scratch_equal t.buf e.key
+      if e.h = h && Module_set.scratch_equal t.buf e.key
       then begin
         Atomic.incr t.hits;
         e.p
@@ -223,19 +184,3 @@ let p t s =
   lookup t
 
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
-
-(* Does NOT clear the memo table or un-bypass: only the rate restarts, so
-   a long-lived cache can report meaningful per-run numbers. Increments
-   racing a cross-domain reset are discarded with the rest. *)
-let reset_stats t =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.flushed_hits 0;
-  Atomic.set t.flushed_misses 0
-
-let reset t =
-  Array.fill t.buckets 0 (Array.length t.buckets) [];
-  t.size <- 0;
-  t.bypass <- false;
-  t.owner <- -1;
-  reset_stats t

@@ -16,45 +16,18 @@
 
     {b Concurrency contract.} Queries ({!p}, {!p_union},
     {!p_union_batch}) are single-writer: the scratch buffer, the memo
-    table and the bypass decision belong to exactly one domain at a time
-    — the first domain to query after {!create} or {!reset}. The
-    contract is enforced: a query from any other domain raises a typed
-    {!Util.Gcr_error.Internal} instead of silently corrupting scratch
-    state. {!reset} unpins the owner so a cache can be handed between
-    workers phase-by-phase (the sharded router's per-region pattern).
-    The accounting side is lock-free and cross-domain safe: {!stats},
-    {!reset_stats} and {!flush_obs} may run from any domain while the
-    owner is mid-query, and concurrent {!flush_obs} calls publish each
-    delta exactly once. *)
+    table and the bypass decision belong to exactly one domain — the
+    first domain to query after {!create}. The contract is enforced: a
+    query from any other domain raises a typed {!Util.Gcr_error.Internal}
+    instead of silently corrupting scratch state. The accounting side is
+    lock-free and cross-domain safe: {!stats} and {!flush_obs} may run
+    from any domain while the owner is mid-query, and concurrent
+    {!flush_obs} calls publish each delta exactly once. *)
 
 type t
 
-val create : ?capacity:int -> Profile.t -> t
-(** Fresh, empty cache over the profile's module universe. [capacity]
-    (expected number of distinct memoized sets, default 0) pre-sizes the
-    bucket array so that many entries are admitted without intermediate
-    resizes — useful for cheap short-lived per-region caches in the
-    sharded router. Raises [Invalid_argument] when negative. *)
-
-val profile : t -> Profile.t
-(** The profile currently answering misses (the latest {!set_profile}
-    argument, or the creation profile). *)
-
-val generation : t -> int
-(** Profile generation: [0] at creation, bumped by every
-    {!set_profile}. Memoized entries are stamped with the generation
-    they were computed under and can only answer queries of the same
-    generation. *)
-
-val set_profile : t -> Profile.t -> unit
-(** Swap in an updated profile (same module universe — the streaming
-    drift flow), dropping every memoized probability: the table is
-    cleared, the generation bumped, and the hit-rate bypass decision
-    restarted, so the first query per set after an update is a
-    guaranteed miss recomputed from the new tables. Owner pin and
-    statistics are kept. Same call-context contract as {!reset}: no
-    query may be in flight. Raises [Invalid_argument] when the new
-    profile's module universe differs. *)
+val create : Profile.t -> t
+(** Fresh, empty cache over the profile's module universe. *)
 
 val p : t -> Module_set.t -> float
 (** Memoized {!Profile.p}. *)
@@ -73,25 +46,9 @@ val p_union_batch : t -> Module_set.t -> ?n:int -> Module_set.t array -> float a
     [Invalid_argument] when [n] exceeds either array. *)
 
 val stats : t -> int * int
-(** [(hits, misses)] since creation or the last {!reset_stats}. Safe
-    from any domain; reads are atomic per counter (the pair is not a
-    consistent snapshot while the owner is querying, but each component
-    is never torn). *)
-
-val reset_stats : t -> unit
-(** Zero the hit/miss counters so long-lived caches (fuzz loops, benches)
-    can report per-run rates. Keeps the memoized entries and the bypass
-    decision — only the accounting restarts. Un-flushed {!flush_obs}
-    deltas are discarded. *)
-
-val reset : t -> unit
-(** Empty the cache for reuse: drop every memoized entry (the bucket
-    array keeps its size), clear the bypass decision, zero the stats and
-    unpin the owning domain. A per-region cache can be reset between
-    regions instead of reallocated, including when the next region runs
-    on a different worker domain. Must only be called while no query is
-    in flight (it rewrites the memo table); concurrent {!flush_obs} /
-    {!stats} calls are safe. *)
+(** [(hits, misses)] since creation. Safe from any domain; reads are
+    atomic per counter (the pair is not a consistent snapshot while the
+    owner is querying, but each component is never torn). *)
 
 val flush_obs : t -> unit
 (** Publish the hit/miss counts accumulated since the last flush to the

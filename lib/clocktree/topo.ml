@@ -41,6 +41,20 @@ let of_merges ~n_sinks merges =
   done;
   { n_sinks; left; right; parent }
 
+(* Local id -> outer id: leaves map through [leaves], internal nodes
+   through the ids [merge] returns as the list is replayed. *)
+let replay ~leaves ~merges ~merge =
+  let k = Array.length leaves in
+  if k = 1 then leaves.(0)
+  else begin
+    let gmap = Array.make ((2 * k) - 1) (-1) in
+    Array.blit leaves 0 gmap 0 k;
+    Array.iteri
+      (fun step (la, lb) -> gmap.(k + step) <- merge gmap.(la) gmap.(lb))
+      merges;
+    gmap.((2 * k) - 2)
+  end
+
 let n_sinks t = t.n_sinks
 
 let n_nodes t = (2 * t.n_sinks) - 1

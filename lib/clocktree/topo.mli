@@ -15,6 +15,15 @@ val of_merges : n_sinks:int -> (int * int) array -> t
     binary tree: exactly [n_sinks - 1] merges, every non-root node a child
     exactly once, children created before parents. *)
 
+val replay :
+  leaves:int array -> merges:(int * int) array -> merge:(int -> int -> int) -> int
+(** Replay a local merge list (in {!of_merges} numbering over
+    [Array.length leaves] local sinks) into an outer id space: local
+    sink [i] is [leaves.(i)], and each merge calls [merge a b] on the
+    outer ids of its children, in list order, and takes the id it
+    returns. Returns the outer id of the local root ([leaves.(0)] for a
+    single leaf, with no [merge] call). *)
+
 val n_sinks : t -> int
 
 val n_nodes : t -> int

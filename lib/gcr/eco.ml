@@ -101,21 +101,10 @@ let splice topo repairs =
     merges_out := (a, b) :: !merges_out;
     id
   in
-  let emit_repaired (leaves, merges) =
-    let k = Array.length leaves in
-    if k = 1 then leaves.(0)
-    else begin
-      let gmap = Array.make ((2 * k) - 1) (-1) in
-      Array.blit leaves 0 gmap 0 k;
-      Array.iteri
-        (fun step (la, lb) -> gmap.(k + step) <- emit_merge gmap.(la) gmap.(lb))
-        merges;
-      gmap.((2 * k) - 2)
-    end
-  in
   let rec emit v =
     match Hashtbl.find_opt repairs v with
-    | Some repair -> emit_repaired repair
+    | Some (leaves, merges) ->
+      Clocktree.Topo.replay ~leaves ~merges ~merge:emit_merge
     | None -> (
       match Clocktree.Topo.children topo v with
       | None -> v

@@ -39,27 +39,6 @@ type plan = {
   topo : Clocktree.Topo.t;
 }
 
-(* Replay a region's merge list into the global forest. The zero-skew
-   split of a merge depends only on the two subtrees being merged (their
-   regions, delays, caps), so replaying the same merges over the same
-   sinks rebuilds the same subtree the region router built — the global
-   arena ends up holding every region tree side by side, children always
-   created before parents. Returns the region's surviving root. *)
-let replay forest idxs merges =
-  let k = Array.length idxs in
-  if k = 1 then idxs.(0)
-  else begin
-    (* local id -> global id: sinks map through the region's index set,
-       internal nodes through the ids Grow allocates as we replay *)
-    let gmap = Array.make ((2 * k) - 1) (-1) in
-    Array.blit idxs 0 gmap 0 k;
-    Array.iteri
-      (fun step (la, lb) ->
-        gmap.(k + step) <- Router.merge forest gmap.(la) gmap.(lb))
-      merges;
-    gmap.((2 * k) - 2)
-  end
-
 (* Greedy-merge the region roots with the same Eq. (3) cost the regions
    used internally, through the same engine — ids are remapped so the
    engine sees a dense 0..r-1 problem over the surviving roots. *)
@@ -114,8 +93,18 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
     Util.Obs.span ~name:"shard:stitch" (fun () ->
         let t0 = Util.Obs.Clock.now_ns () in
         let forest = Router.forest config profile sinks in
+        (* Replay each region's merge list into the global forest. The
+           zero-skew split of a merge depends only on the two subtrees
+           being merged (their regions, delays, caps), so replaying the
+           same merges over the same sinks rebuilds the same subtree the
+           region router built — the global arena ends up holding every
+           region tree side by side, children always created before
+           parents. *)
         let roots =
-          Array.map2 (fun idxs ms -> replay forest idxs ms) regions region_merges
+          Array.map2
+            (fun leaves merges ->
+              Clocktree.Topo.replay ~leaves ~merges ~merge:(Router.merge forest))
+            regions region_merges
         in
         stitch_roots forest roots;
         let topo = Clocktree.Grow.topology (Router.grow forest) in

@@ -1,7 +1,6 @@
 type entry = {
   mutable profile : Activity.Profile.t;
   mutable epoch : int;  (* bumped by every profile update *)
-  lanes : Activity.Pcache.t option array;  (* one per worker slot *)
   mutable stamp : int;  (* LRU clock value of the last touch *)
   update_m : Mutex.t;  (* serializes updates for this workload only *)
   mutable acc : Activity.Stream_update.t option;  (* guarded by update_m *)
@@ -11,20 +10,12 @@ type t = {
   mutex : Mutex.t;
   table : (int64, entry) Hashtbl.t;
   capacity : int;
-  slots : int;
   mutable clock : int;
 }
 
-let create ?(capacity = 32) ~slots () =
+let create ?(capacity = 32) () =
   if capacity <= 0 then invalid_arg "Cache.create: non-positive capacity";
-  if slots <= 0 then invalid_arg "Cache.create: non-positive slots";
-  {
-    mutex = Mutex.create ();
-    table = Hashtbl.create 64;
-    capacity;
-    slots;
-    clock = 0;
-  }
+  { mutex = Mutex.create (); table = Hashtbl.create 64; capacity; clock = 0 }
 
 let fnv_offset = 0xcbf29ce484222325L
 
@@ -100,7 +91,6 @@ let profile t scn =
               {
                 profile = fresh;
                 epoch = 0;
-                lanes = Array.make t.slots None;
                 stamp = 0;
                 update_m = Mutex.create ();
                 acc = None;
@@ -161,12 +151,11 @@ let update t scn ~chunk =
       let fresh = Activity.Stream_update.profile ~patch:false acc in
       ignore (Activity.Profile.signature_kernel fresh);
       locked t (fun () ->
-          (* Publish epoch-atomically: profile swap, epoch bump and lane
-             invalidation are one critical section, so no worker can
-             observe the new profile with an old lane or vice versa. *)
+          (* Publish epoch-atomically: profile swap and epoch bump are
+             one critical section, so no lookup can pair the new
+             profile with the old epoch or vice versa. *)
           entry.profile <- fresh;
           entry.epoch <- entry.epoch + 1;
-          Array.fill entry.lanes 0 (Array.length entry.lanes) None;
           if not (Hashtbl.mem t.table key) then begin
             (* Evicted while we were building: re-adopt our entry so the
                epoch history of the workload stays monotonic. *)
@@ -176,26 +165,6 @@ let update t scn ~chunk =
           touch t entry;
           (entry.epoch, fresh)))
 
-let pcache t ~key ~slot ~epoch =
-  if slot < 0 || slot >= t.slots then
-    invalid_arg (Printf.sprintf "Cache.pcache: slot %d out of range" slot);
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Cache.pcache: workload %016Lx not resident" key)
-      | Some e ->
-        touch t e;
-        if e.epoch <> epoch then `Stale e.epoch
-        else
-          `Pcache
-            (match e.lanes.(slot) with
-            | Some pc -> pc
-            | None ->
-              let pc = Activity.Pcache.create e.profile in
-              e.lanes.(slot) <- Some pc;
-              pc))
-
 let audit pc (tree : Gcr.Gated_tree.t) =
   let h0, m0 = Activity.Pcache.stats pc in
   let n = Clocktree.Topo.n_nodes tree.Gcr.Gated_tree.topo in
@@ -204,7 +173,7 @@ let audit pc (tree : Gcr.Gated_tree.t) =
     let p = Activity.Pcache.p pc e.Gcr.Enable.mods in
     if p <> e.Gcr.Enable.p then
       Util.Gcr_error.mismatch ~stage:"serve:audit"
-        "node %d: shared-cache enable probability %.17g disagrees with the \
+        "node %d: audited enable probability %.17g disagrees with the \
          routed tree's %.17g"
         v p e.Gcr.Enable.p
   done;
@@ -213,20 +182,6 @@ let audit pc (tree : Gcr.Gated_tree.t) =
 
 let resident t = locked t (fun () -> Hashtbl.length t.table)
 
-let epoch t scn =
+let epoch t ~key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table (workload_key scn) with
-      | Some e -> Some e.epoch
-      | None -> None)
-
-let flush_obs t =
-  let lanes =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun _ e acc ->
-            Array.fold_left
-              (fun acc -> function Some pc -> pc :: acc | None -> acc)
-              acc e.lanes)
-          t.table [])
-  in
-  List.iter Activity.Pcache.flush_obs lanes
+      Option.map (fun e -> e.epoch) (Hashtbl.find_opt t.table key))

@@ -4,46 +4,38 @@
     workloads under perturbed placements} — the same RTL and instruction
     stream, different sink layouts — so the expensive per-request work
     that depends only on (rtl, stream) is shared across requests keyed by
-    a 64-bit workload hash of exactly those two sections:
+    a 64-bit workload hash of exactly those two sections: the
+    {!Activity.Profile} (IFT/IMATT tables {e and} the signature kernel,
+    forced eagerly at insertion so the published value is deeply
+    immutable — the kernel field is lazily filled and mutable, and must
+    never be raced), shared read-only by every domain.
 
-    - the {!Activity.Profile} (IFT/IMATT tables {e and} the signature
-      kernel, forced eagerly at insertion so the published value is
-      deeply immutable — the kernel field is a lazily-filled mutable slot
-      that must never be raced), shared read-only by every domain;
-    - one {!Activity.Pcache} {e per (workload, worker slot)}, created
-      lazily by the worker that owns the slot — single-writer by
-      construction, so the Pcache contract holds without any locking on
-      the query path.
-
-    {b Epochs.} A workload's profile is no longer immutable for the life
-    of the entry: {!update} ingests a trace chunk through
-    {!Activity.Stream_update} and swaps in the drifted profile. Each
-    swap advances the entry's {e epoch} — profile, epoch and per-slot
-    pcache lanes move in one critical section, so a worker either sees
-    the old profile with old lanes or the new profile with empty lanes,
-    never a mix. Routes identify the profile they used by [(key, epoch)]
-    and {!pcache} refuses with [`Stale] when the epoch advanced
-    mid-request; the server re-routes against the fresh profile instead
-    of auditing a tree against tables it was not built from.
+    {b Epochs.} A workload's profile is not immutable for the life of the
+    entry: {!update} ingests a trace chunk through
+    {!Activity.Stream_update} and swaps in the drifted profile. Each swap
+    advances the entry's {e epoch}; profile and epoch move in one
+    critical section. Routes identify the profile they used by
+    [(key, epoch)], and the server compares that against {!epoch} after
+    routing: when an update advanced the epoch mid-request, it re-routes
+    against the fresh profile instead of answering from tables that are
+    no longer the workload's truth.
 
     The registry itself is a small mutex-guarded table with LRU eviction
     (an evicted entry is merely unlinked; in-flight requests holding its
-    profile or a pcache keep them alive and consistent).
+    profile keep it alive and consistent).
 
-    {!audit} is the shared cache's consumer and its safety net in one:
-    after routing, the worker re-derives every node's enable probability
-    through its shared pcache and demands exact equality with the tree —
-    a warm workload answers mostly from cache hits (the reported
-    warm-hit-rate), and any disagreement (a torn profile, a corrupted
-    cache) is a typed [Engine_mismatch] reject instead of a silently
-    wrong answer. *)
+    {!audit} is the daemon's safety net: after routing, the worker
+    re-derives every node's enable probability through a request-local
+    {!Activity.Pcache} over the profile the tree was routed with and
+    demands exact equality with the tree — any disagreement (a torn
+    profile, a corrupted cache) is a typed [Engine_mismatch] reject
+    instead of a silently wrong answer. *)
 
 type t
 
-val create : ?capacity:int -> slots:int -> unit -> t
-(** [capacity] (default 32) bounds resident workloads; [slots] is the
-    worker-pool size (one pcache lane per worker). Raises
-    [Invalid_argument] when either is non-positive. *)
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default 32) bounds resident workloads. Raises
+    [Invalid_argument] when it is non-positive. *)
 
 val workload_key : Conformance.Scenario.t -> int64
 (** FNV-1a over the rendered [rtl] and [stream] sections — the exact
@@ -64,43 +56,23 @@ val update :
     the workload's streaming accumulator — seeded with the scenario's
     own trace on the first update — and publish the drifted profile,
     returning [(epoch, profile)] for the new epoch. The swap is
-    epoch-atomic: profile, epoch bump and the invalidation of every
-    per-slot pcache lane happen in one critical section. Updates to the
-    same workload serialize; the table construction and kernel forcing
-    run outside the registry lock. Raises [Invalid_argument] on an
-    out-of-range instruction index (the accumulator is unchanged). *)
+    epoch-atomic: profile and epoch bump happen in one critical section.
+    Updates to the same workload serialize; the table construction and
+    kernel forcing run outside the registry lock. Raises
+    [Invalid_argument] on an out-of-range instruction index (the
+    accumulator is unchanged). *)
 
-val epoch : t -> Conformance.Scenario.t -> int option
-(** Current epoch of the scenario's workload, [None] when not
-    resident. *)
-
-val pcache :
-  t ->
-  key:int64 ->
-  slot:int ->
-  epoch:int ->
-  [ `Pcache of Activity.Pcache.t | `Stale of int ]
-(** The calling worker's pcache lane for a resident workload, created on
-    first use — but only when the entry is still at [epoch] (the one
-    {!profile} reported when the request picked up its tables).
-    [`Stale current] means an {!update} advanced the profile
-    mid-request: the tree in hand was routed from tables that are no
-    longer the workload's truth, so the caller must re-fetch and
-    re-route rather than audit across epochs. Must only be called with
-    the worker's own [slot] (that is what makes it single-writer).
-    Raises [Invalid_argument] on an unknown key (evicted mid-request:
-    call {!profile} again) or a slot out of range. *)
+val epoch : t -> key:int64 -> int option
+(** Current epoch of the workload with this {!workload_key}, [None] when
+    not resident. *)
 
 val audit : Activity.Pcache.t -> Gcr.Gated_tree.t -> int * int
 (** Recompute every node's enable signal probability through the pcache
     and compare exactly against the tree's own values; returns the
-    [(hits, misses)] delta this audit contributed. Raises
+    [(hits, misses)] delta this audit contributed (on a fresh pcache:
+    the repeats within this one tree). Raises
     {!Util.Gcr_error.Error} with [Engine_mismatch] on any disagreement.
     The pcache must be over the profile the tree was routed with. *)
 
 val resident : t -> int
 (** Number of workloads currently resident. *)
-
-val flush_obs : t -> unit
-(** {!Activity.Pcache.flush_obs} every lane of every resident workload
-    (safe concurrently with in-flight queries — part of drain). *)

@@ -1,7 +1,7 @@
 type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
-  jobs : (slot:int -> unit) Queue.t;
+  jobs : (unit -> unit) Queue.t;
   queue_cap : int;
   mutable draining : bool;
   domains : unit Domain.t array Lazy.t;
@@ -27,7 +27,7 @@ let record_time t dt_ns =
   let next = if prev = 0.0 then dt_ns else (0.8 *. prev) +. (0.2 *. dt_ns) in
   Atomic.set t.ewma_ns next
 
-let worker t slot =
+let worker t =
   let rec loop () =
     Mutex.lock t.mutex;
     while Queue.is_empty t.jobs && not t.draining do
@@ -42,7 +42,7 @@ let worker t slot =
       let job = Queue.pop t.jobs in
       Mutex.unlock t.mutex;
       let t0 = Util.Obs.Clock.now_ns () in
-      (try job ~slot
+      (try job ()
        with _ ->
          (* The submitter's guard is the real boundary; anything landing
             here is a bug there, but it must not kill the worker. *)
@@ -64,7 +64,7 @@ let create ~workers ~queue_cap () =
       queue_cap;
       draining = false;
       domains =
-        lazy (Array.init workers (fun slot -> Domain.spawn (fun () -> worker t slot)));
+        lazy (Array.init workers (fun _ -> Domain.spawn (fun () -> worker t)));
       ewma_ns = Atomic.make 0.0;
       backstop = Atomic.make 0;
     }

@@ -15,8 +15,8 @@
 
     Shutdown is {!drain}: admission closes ([`Draining] rejects), queued
     and in-flight jobs run to completion, workers exit and are joined.
-    Jobs receive their worker's slot index (0-based) so per-worker state
-    — the {!Cache} pcache lanes — is single-writer without locks. *)
+    Jobs carry no worker identity: any state a job queries single-writer
+    (an audit's {!Activity.Pcache}) is created inside the job itself. *)
 
 type t
 
@@ -28,7 +28,7 @@ val create : workers:int -> queue_cap:int -> unit -> t
 val workers : t -> int
 
 val submit :
-  t -> (slot:int -> unit) -> [ `Accepted | `Full of int | `Draining ]
+  t -> (unit -> unit) -> [ `Accepted | `Full of int | `Draining ]
 (** Enqueue a job, or reject: [`Full depth] when the queue is at
     capacity, [`Draining] after {!drain} began. Never blocks. *)
 

@@ -26,8 +26,7 @@ type kind =
   | Update of { chunk : int array }
       (** ingest [chunk] (instruction indices over the scenario's RTL)
           into the workload's streaming profile first — advancing its
-          {!Cache} epoch and invalidating every worker's pcache lane —
-          then route against the drifted profile *)
+          {!Cache} epoch — then route against the drifted profile *)
 
 type request = {
   id : int;  (** client-chosen, echoed in the response *)
@@ -50,15 +49,16 @@ type answer = {
   buffers : int;
   wirelen : float;
   audit_hits : int;
-      (** shared-{!Activity.Pcache} hits during the response audit —
-          nonzero exactly when the workload was warm *)
+      (** {!Activity.Pcache} hits during the response audit, which runs
+          on a pcache local to this request: the enable sets repeated
+          within this one tree *)
   audit_misses : int;
   cache_warm : bool;  (** the workload profile was already resident *)
   epoch : int;
       (** profile epoch the tree was routed (and audited) against — 0
-          until the workload's first [Update]; the warm-audit tripwire
-          compares this, not just workload hashes, so an answer can
-          never silently mix tables from two epochs *)
+          until the workload's first [Update]; the server re-routes when
+          the workload's epoch moved past this one mid-request, so an
+          answer can never silently mix tables from two epochs *)
   elapsed_ms : float;  (** service time, queue wait excluded *)
 }
 

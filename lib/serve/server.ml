@@ -130,7 +130,7 @@ let wake conn =
   with Unix.Unix_error _ -> ()
 
 (* Enqueue a response frame for the connection's IO thread. [finishing]
-   releases one in-flight slot (the job path); admission rejects are not
+   releases one in-flight count (the job path); admission rejects are not
    in flight. Responses for a connection that died meanwhile are
    dropped — the client is gone, there is nobody to tell. *)
 let enqueue srv conn ?(finishing = false) resp =
@@ -163,7 +163,7 @@ let caret_message ~source ~text ~offset msg =
 (* Request evaluation (worker domain)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate cfg cache ~slot (req : Proto.request) =
+let evaluate cfg cache (req : Proto.request) =
   let t0 = now () in
   let result =
     Util.Gcr_error.guard ~stage:"serve:request" (fun () ->
@@ -216,9 +216,9 @@ let evaluate cfg cache ~slot (req : Proto.request) =
             "wall budget %g ms must be finite and non-negative" b
         | _ -> ());
         (* An update request advances the workload's profile epoch first
-           (atomically swapping profile and invalidating every pcache
-           lane), then routes like any other request — the route below
-           picks up the drifted tables through the ordinary lookup. *)
+           (atomically swapping the profile), then routes like any other
+           request — the route below picks up the drifted tables through
+           the ordinary lookup. *)
         (match req.kind with
         | Proto.Route -> ()
         | Proto.Update { chunk } ->
@@ -234,11 +234,14 @@ let evaluate cfg cache ~slot (req : Proto.request) =
           if req.paranoid || cfg.paranoid then Gcr.Flow.Paranoid
           else Gcr.Flow.Default
         in
-        (* The audit must compare the tree against the profile epoch it
-           was routed from. When a concurrent update advances the epoch
+        (* When a concurrent update advances the workload's epoch
            mid-route, the tree in hand no longer reflects the workload's
            tables: re-route against the fresh profile (bounded — each
-           retry needs another update to land inside the route window). *)
+           retry needs another update to land inside the route window).
+           Otherwise — including when the workload was evicted, which
+           publishes no newer epoch — the tree is audited against the
+           profile it was routed with, on a pcache local to this
+           request. *)
         let rec routed attempt =
           let key, profile, epoch, warm = Cache.profile cache scenario in
           match
@@ -249,17 +252,18 @@ let evaluate cfg cache ~slot (req : Proto.request) =
           | Error errs -> `Errs errs
           | Ok checked -> (
             let tree = checked.Gcr.Flow.tree in
-            match Cache.pcache cache ~key ~slot ~epoch with
-            | `Stale current when attempt < 3 ->
-              ignore current;
+            match Cache.epoch cache ~key with
+            | Some current when current > epoch && attempt < 3 ->
               routed (attempt + 1)
-            | `Stale current ->
+            | Some current when current > epoch ->
               Util.Gcr_error.mismatch ~stage:"serve:audit"
                 "workload profile kept advancing under evaluation (epoch %d \
                  -> %d after %d attempts)"
                 epoch current attempt
-            | `Pcache pc ->
+            | Some _ | None ->
+              let pc = Activity.Pcache.create profile in
               let audit_hits, audit_misses = Cache.audit pc tree in
+              Activity.Pcache.flush_obs pc;
               `Answer
                 {
                   Proto.id = req.id;
@@ -329,7 +333,7 @@ let handle_frame srv conn payload =
     Mutex.lock conn.m;
     conn.in_flight <- conn.in_flight + 1;
     Mutex.unlock conn.m;
-    let job ~slot = enqueue srv conn ~finishing:true (evaluate srv.cfg srv.cache ~slot req) in
+    let job () = enqueue srv conn ~finishing:true (evaluate srv.cfg srv.cache req) in
     match Pool.submit srv.pool job with
     | `Accepted -> ()
     | (`Full _ | `Draining) as why ->
@@ -557,7 +561,7 @@ let run ?(stop = fun () -> false) ?on_ready cfg =
    with Invalid_argument _ -> ());
   let listener, cleanup_addr = listener_of_address cfg.address in
   let pool = Pool.create ~workers:cfg.workers ~queue_cap:cfg.queue_cap () in
-  let cache = Cache.create ~capacity:cfg.cache_capacity ~slots:cfg.workers () in
+  let cache = Cache.create ~capacity:cfg.cache_capacity () in
   let srv =
     {
       cfg;
@@ -626,7 +630,6 @@ let run ?(stop = fun () -> false) ?on_ready cfg =
     (* Force the stragglers' fds shut so their threads error out; the
        process is exiting and a stuck peer must not hold it hostage. *)
     List.iter mark_closed conns;
-  Cache.flush_obs cache;
   {
     connections = Atomic.get srv.acc.a_connections;
     requests = Atomic.get srv.acc.a_requests;

@@ -29,8 +29,9 @@
       {!install_signal_stop}): the listener closes, admission rejects
       with [`Draining], in-flight work finishes (or degrades under its
       budget), responses flush, worker domains and connection threads
-      join, {!Cache.flush_obs} publishes the cache counters, and {!run}
-      returns its {!stats}. *)
+      join, and {!run} returns its {!stats}. Each request's audit
+      pcache published its counters when the request finished, so
+      nothing is left to flush. *)
 
 type address = Unix_socket of string | Tcp of string * int
 

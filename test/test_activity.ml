@@ -455,21 +455,6 @@ let test_pcache_matches_profile () =
   Alcotest.(check int) "union hits cache" (hits + 1) hits2;
   Alcotest.(check int) "no new miss" misses misses2
 
-let test_pcache_reset_stats () =
-  let cache = Activity.Pcache.create paper_profile in
-  let m56 = Ms.of_list 6 [ 4; 5 ] in
-  check_float "warm the cache" 0.55 (Activity.Pcache.p cache m56);
-  check_float "hit it once" 0.55 (Activity.Pcache.p cache m56);
-  Alcotest.(check bool) "stats accumulated" true
-    (Activity.Pcache.stats cache <> (0, 0));
-  Activity.Pcache.reset_stats cache;
-  Alcotest.(check (pair int int)) "stats zeroed" (0, 0)
-    (Activity.Pcache.stats cache);
-  (* the memo table survives the reset: the next query is a pure hit *)
-  check_float "entry retained" 0.55 (Activity.Pcache.p cache m56);
-  Alcotest.(check (pair int int)) "per-run rate restarts" (1, 0)
-    (Activity.Pcache.stats cache)
-
 let test_pcache_batch_stats () =
   (* a batch counts exactly one hit or miss per element and fills the
      memo as the equivalent scalar calls would — no double-counting *)
@@ -489,38 +474,19 @@ let test_pcache_batch_stats () =
         (Activity.Profile.p paper_profile (Ms.union a b))
         out.(i))
     bs;
-  Activity.Pcache.reset_stats cache;
   let out2 = Array.make 3 nan in
   Activity.Pcache.p_union_batch cache a bs out2;
+  let hits2, misses2 = Activity.Pcache.stats cache in
   Alcotest.(check (pair int int)) "second pass pure hits" (3, 0)
-    (Activity.Pcache.stats cache);
+    (hits2 - hits, misses2 - misses);
   Alcotest.(check bool) "values stable" true (out = out2);
   (* a partial batch touches (and counts) only the first n elements *)
-  Activity.Pcache.reset_stats cache;
   let out3 = Array.make 3 (-1.0) in
   Activity.Pcache.p_union_batch cache a ~n:2 bs out3;
   let hits3, misses3 = Activity.Pcache.stats cache in
-  Alcotest.(check int) "n elements counted" 2 (hits3 + misses3);
+  Alcotest.(check int) "n elements counted" 2
+    (hits3 - hits2 + (misses3 - misses2));
   Alcotest.(check (float 0.0)) "tail untouched" (-1.0) out3.(2)
-
-let test_pcache_capacity_and_reset () =
-  (* pre-sizing only affects bucket allocation, never answers *)
-  let cache = Activity.Pcache.create ~capacity:1024 paper_profile in
-  let m56 = Ms.of_list 6 [ 4; 5 ] in
-  check_float "p via pre-sized cache" 0.55 (Activity.Pcache.p cache m56);
-  check_float "cached" 0.55 (Activity.Pcache.p cache m56);
-  Alcotest.(check (pair int int)) "hit and miss counted" (1, 1)
-    (Activity.Pcache.stats cache);
-  Activity.Pcache.reset cache;
-  Alcotest.(check (pair int int)) "reset zeroes stats" (0, 0)
-    (Activity.Pcache.stats cache);
-  (* unlike reset_stats, reset drops the memo: the same query misses *)
-  check_float "entry dropped" 0.55 (Activity.Pcache.p cache m56);
-  Alcotest.(check (pair int int)) "fresh miss" (0, 1)
-    (Activity.Pcache.stats cache);
-  Alcotest.check_raises "negative capacity rejected"
-    (Invalid_argument "Pcache.create: negative capacity") (fun () ->
-      ignore (Activity.Pcache.create ~capacity:(-1) paper_profile))
 
 let test_pcache_flush_obs () =
   let hits_c = Util.Obs.counter "pcache.hits" in
@@ -636,7 +602,7 @@ let test_pcache_domains_stress () =
 
 (* The query side of the contract: a cache pinned by its first query
    must refuse queries from any other domain with a typed Internal
-   error, and [reset] must unpin it. *)
+   error, and keep answering its owner. *)
 let test_pcache_owner_violation () =
   let cache = Activity.Pcache.create paper_profile in
   ignore (Activity.Profile.signature_kernel paper_profile);
@@ -647,13 +613,7 @@ let test_pcache_owner_violation () =
   | (_ : float) -> Alcotest.fail "cross-domain query on a pinned cache succeeded"
   | exception Util.Gcr_error.Error (Util.Gcr_error.Internal { stage; _ }) ->
     Alcotest.(check string) "typed as a Pcache contract violation" "Pcache" stage);
-  Activity.Pcache.reset cache;
-  (* unpinned: the next domain to query adopts the cache... *)
-  check_float "re-adopted after reset" 0.55 (cross ());
-  (* ...and the original domain is now the trespasser *)
-  match Activity.Pcache.p cache m56 with
-  | (_ : float) -> Alcotest.fail "query after another domain re-adopted succeeded"
-  | exception Util.Gcr_error.Error (Util.Gcr_error.Internal _) -> ()
+  check_float "owner still answers" 0.55 (Activity.Pcache.p cache m56)
 
 (* ------------------------------------------------------------------ *)
 (* Cpu_model                                                          *)
@@ -1217,41 +1177,6 @@ let prop_stream_update_patch_matches_scratch =
       done;
       !ok)
 
-let test_pcache_set_profile_generation () =
-  let cache = Activity.Pcache.create paper_profile in
-  let m56 = Ms.of_list 6 [ 4; 5 ] in
-  Alcotest.(check int) "fresh generation" 0 (Activity.Pcache.generation cache);
-  check_float "old profile" 0.55 (Activity.Pcache.p cache m56);
-  check_float "memoized" 0.55 (Activity.Pcache.p cache m56);
-  (* Drift the workload: a trace parked on I2 (uses M1 M4) leaves M5|M6
-     idle almost always, so the memoized 0.55 would be a wrong answer. *)
-  let rtl = Activity.Profile.rtl paper_profile in
-  let drifted =
-    Activity.Profile.of_stream
-      (Activity.Instr_stream.make rtl [| 1; 1; 1; 2; 1; 1; 1; 1 |])
-  in
-  let expected = Activity.Profile.p drifted m56 in
-  Alcotest.(check bool) "the drift actually moved P(M5|M6)" true
-    (expected <> 0.55);
-  Activity.Pcache.set_profile cache drifted;
-  Alcotest.(check int) "generation bumped" 1 (Activity.Pcache.generation cache);
-  Alcotest.(check bool) "profile swapped" true
-    (Activity.Pcache.profile cache == drifted);
-  let _, misses0 = Activity.Pcache.stats cache in
-  check_float "stale entry cannot answer" expected (Activity.Pcache.p cache m56);
-  let _, misses1 = Activity.Pcache.stats cache in
-  Alcotest.(check int) "recomputed, not served stale" (misses0 + 1) misses1;
-  check_float "new entry memoized" expected (Activity.Pcache.p cache m56);
-  let foreign =
-    Activity.Profile.of_stream
-      (Activity.Instr_stream.make
-         (random_rtl (Util.Prng.create 9) ~n_modules:4 ~n_instr:3)
-         [| 0; 1 |])
-  in
-  Alcotest.check_raises "wrong universe rejected"
-    (Invalid_argument "Pcache.set_profile: module universe mismatch") (fun () ->
-      Activity.Pcache.set_profile cache foreign)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "activity"
@@ -1311,17 +1236,12 @@ let () =
       ( "pcache",
         [
           Alcotest.test_case "paper values" `Quick test_pcache_matches_profile;
-          Alcotest.test_case "reset_stats" `Quick test_pcache_reset_stats;
           Alcotest.test_case "batch stats" `Quick test_pcache_batch_stats;
-          Alcotest.test_case "capacity and reset" `Quick
-            test_pcache_capacity_and_reset;
           Alcotest.test_case "flush_obs deltas" `Quick test_pcache_flush_obs;
           Alcotest.test_case "cross-domain flush exactness" `Quick
             test_pcache_domains_stress;
           Alcotest.test_case "single-writer pinning" `Quick
             test_pcache_owner_violation;
-          Alcotest.test_case "set_profile invalidates" `Quick
-            test_pcache_set_profile_generation;
           qt prop_pcache_matches_profile;
         ] );
       ( "stream_update",

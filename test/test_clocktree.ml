@@ -215,6 +215,26 @@ let test_topo_single_sink () =
   Alcotest.(check int) "root" 0 (Clocktree.Topo.root t);
   Alcotest.(check int) "nodes" 1 (Clocktree.Topo.n_nodes t)
 
+let test_topo_replay () =
+  (* outer ids: leaves 10..13, merges allocate from 20 *)
+  let calls = ref [] and next = ref 20 in
+  let merge a b =
+    calls := (a, b) :: !calls;
+    incr next;
+    !next - 1
+  in
+  let root =
+    Clocktree.Topo.replay ~leaves:[| 10; 11; 12; 13 |]
+      ~merges:[| (0, 1); (2, 3); (4, 5) |] ~merge
+  in
+  Alcotest.(check int) "outer root" 22 root;
+  Alcotest.(check (list (pair int int))) "merges in order, outer ids"
+    [ (10, 11); (12, 13); (20, 21) ]
+    (List.rev !calls);
+  Alcotest.(check int) "single leaf, no merge" 7
+    (Clocktree.Topo.replay ~leaves:[| 7 |] ~merges:[||] ~merge:(fun _ _ ->
+         Alcotest.fail "merge called for a single leaf"))
+
 let test_topo_validation () =
   Alcotest.check_raises "wrong merge count"
     (Invalid_argument "Topo.of_merges: expected 3 merges, got 1") (fun () ->
@@ -994,6 +1014,7 @@ let () =
           Alcotest.test_case "depth/leaves" `Quick test_topo_depth_leaves;
           Alcotest.test_case "fold postorder" `Quick test_topo_fold_postorder;
           Alcotest.test_case "single sink" `Quick test_topo_single_sink;
+          Alcotest.test_case "replay" `Quick test_topo_replay;
           Alcotest.test_case "validation" `Quick test_topo_validation;
           Alcotest.test_case "is_ancestor" `Quick test_topo_is_ancestor;
           Alcotest.test_case "swap leaves" `Quick test_topo_swap_leaves;

@@ -303,8 +303,7 @@ let test_pool_backpressure () =
   let gate = Atomic.make false in
   let started = Atomic.make false in
   let ran = Atomic.make 0 in
-  let blocker ~slot =
-    Alcotest.(check int) "single worker is slot 0" 0 slot;
+  let blocker () =
     Atomic.set started true;
     while not (Atomic.get gate) do Thread.yield () done;
     Atomic.incr ran
@@ -314,7 +313,7 @@ let test_pool_backpressure () =
   | _ -> Alcotest.fail "empty pool rejected a job");
   (* wait until the worker holds the blocker so the queue is truly empty *)
   spin_until (fun () -> Atomic.get started);
-  let fill ~slot:_ = Atomic.incr ran in
+  let fill () = Atomic.incr ran in
   (match (Serve.Pool.submit pool fill, Serve.Pool.submit pool fill) with
   | `Accepted, `Accepted -> ()
   | _ -> Alcotest.fail "queue refused jobs under its cap");
@@ -331,13 +330,13 @@ let test_pool_backpressure () =
 
 let test_pool_backstop_counts_raises () =
   let pool = Serve.Pool.create ~workers:2 ~queue_cap:8 () in
-  (match Serve.Pool.submit pool (fun ~slot:_ -> failwith "escaped") with
+  (match Serve.Pool.submit pool (fun () -> failwith "escaped") with
   | `Accepted -> ()
   | _ -> Alcotest.fail "job rejected");
   spin_until (fun () -> Serve.Pool.backstop_errors pool = 1);
   (* the worker survived: it still runs jobs *)
   let ok = Atomic.make false in
-  (match Serve.Pool.submit pool (fun ~slot:_ -> Atomic.set ok true) with
+  (match Serve.Pool.submit pool (fun () -> Atomic.set ok true) with
   | `Accepted -> ()
   | _ -> Alcotest.fail "job rejected after a backstop error");
   Serve.Pool.drain pool;
@@ -348,7 +347,7 @@ let test_pool_backstop_counts_raises () =
 (* ------------------------------------------------------------------ *)
 
 let test_cache_warm_and_audit () =
-  let cache = Serve.Cache.create ~slots:1 () in
+  let cache = Serve.Cache.create () in
   let scn = scenario_of_seed 11 in
   let key1, prof1, epoch1, warm1 = Serve.Cache.profile cache scn in
   Alcotest.(check bool) "first sight is cold" false warm1;
@@ -358,40 +357,33 @@ let test_cache_warm_and_audit () =
   Alcotest.(check bool) "same key" true (Int64.equal key1 key2);
   Alcotest.(check bool) "same shared profile" true (prof1 == prof2);
   Alcotest.(check int) "one workload resident" 1 (Serve.Cache.resident cache);
-  (* the audit over a tree routed with the shared profile passes and its
-     second pass answers from cache *)
+  Alcotest.(check (option int)) "epoch by key" (Some epoch1)
+    (Serve.Cache.epoch cache ~key:key1);
+  Alcotest.(check (option int)) "unknown key has no epoch" None
+    (Serve.Cache.epoch cache ~key:0xbadL);
+  (* the audit over a tree routed with the shared profile passes, and a
+     second pass over the same pcache answers from cache *)
   let tree =
     Gcr.Flow.run ~options:scn.Conformance.Scenario.options
       (Conformance.Scenario.config scn) prof1 scn.Conformance.Scenario.sinks
   in
-  let pc =
-    match Serve.Cache.pcache cache ~key:key1 ~slot:0 ~epoch:epoch1 with
-    | `Pcache pc -> pc
-    | `Stale _ -> Alcotest.fail "lane stale without any update"
-  in
+  let pc = Activity.Pcache.create prof1 in
   let hits1, misses1 = Serve.Cache.audit pc tree in
   Alcotest.(check bool) "audit touched the cache" true (hits1 + misses1 > 0);
   let hits2, misses2 = Serve.Cache.audit pc tree in
-  Alcotest.(check int) "warm audit is all hits" 0 misses2;
-  Alcotest.(check int) "same queries" (hits1 + misses1) hits2;
-  Alcotest.check_raises "unknown workload key"
-    (Invalid_argument "Cache.pcache: workload 0000000000000bad not resident")
-    (fun () ->
-      ignore (Serve.Cache.pcache cache ~key:0xbadL ~slot:0 ~epoch:0))
+  Alcotest.(check int) "second audit is all hits" 0 misses2;
+  Alcotest.(check int) "same queries" (hits1 + misses1) hits2
 
-(* An update atomically swaps the shared profile, advances the epoch and
-   invalidates every pcache lane: a route that picked up its tables
-   before the update must see [`Stale] (the cross-epoch audit tripwire),
-   and a fresh lookup must route and audit cleanly against the drifted
+(* An update atomically swaps the shared profile and advances the epoch
+   that [Cache.epoch] reports for the key — what the server compares
+   against the epoch a request routed with to decide on a re-route — and
+   a fresh lookup routes and audits cleanly against the drifted
    profile. *)
 let test_cache_update_epoch () =
-  let cache = Serve.Cache.create ~slots:1 () in
+  let cache = Serve.Cache.create () in
   let scn = scenario_of_seed 12 in
   let key, prof0, epoch0, _ = Serve.Cache.profile cache scn in
   Alcotest.(check int) "base epoch" 0 epoch0;
-  (match Serve.Cache.pcache cache ~key ~slot:0 ~epoch:epoch0 with
-  | `Pcache _ -> ()
-  | `Stale _ -> Alcotest.fail "base lane stale");
   (* Drift the workload: replay the scenario's own trace reversed. *)
   let stream = Conformance.Scenario.instr_stream scn in
   let n = Activity.Instr_stream.length stream in
@@ -399,13 +391,8 @@ let test_cache_update_epoch () =
   let epoch1, prof1 = Serve.Cache.update cache scn ~chunk in
   Alcotest.(check int) "epoch advanced" (epoch0 + 1) epoch1;
   Alcotest.(check bool) "profile replaced" true (not (prof0 == prof1));
-  Alcotest.(check (option int)) "epoch visible" (Some epoch1)
-    (Serve.Cache.epoch cache scn);
-  (* The old epoch's lane is gone: a route that started before the
-     update must not audit against the drifted tables. *)
-  (match Serve.Cache.pcache cache ~key ~slot:0 ~epoch:epoch0 with
-  | `Stale current -> Alcotest.(check int) "stale reports current" epoch1 current
-  | `Pcache _ -> Alcotest.fail "stale epoch served a lane");
+  Alcotest.(check (option int)) "epoch visible by key" (Some epoch1)
+    (Serve.Cache.epoch cache ~key);
   let key', prof', epoch', warm' = Serve.Cache.profile cache scn in
   Alcotest.(check bool) "same workload key" true (Int64.equal key key');
   Alcotest.(check bool) "lookup sees drifted profile" true (prof' == prof1);
@@ -415,22 +402,43 @@ let test_cache_update_epoch () =
     Gcr.Flow.run ~options:scn.Conformance.Scenario.options
       (Conformance.Scenario.config scn) prof' scn.Conformance.Scenario.sinks
   in
-  let pc =
-    match Serve.Cache.pcache cache ~key ~slot:0 ~epoch:epoch' with
-    | `Pcache pc -> pc
-    | `Stale _ -> Alcotest.fail "fresh lane stale"
-  in
-  let hits, misses = Serve.Cache.audit pc tree in
+  let hits, misses = Serve.Cache.audit (Activity.Pcache.create prof') tree in
   Alcotest.(check bool) "audit over drifted profile" true (hits + misses > 0);
   (* A second update on top of the first keeps accumulating. *)
   let epoch2, _ = Serve.Cache.update cache scn ~chunk:[| 0 |] in
   Alcotest.(check int) "second update" (epoch1 + 1) epoch2
 
+(* The audit tripwire: a tree routed on one profile, audited against a
+   drifted one, is a typed [Engine_mismatch] from [serve:audit] rather
+   than an answer. The drift parks the trace on its first instruction:
+   the reversed trace would double every instruction count and leave
+   every enable probability bit-identical. *)
+let test_cache_audit_tripwire () =
+  let cache = Serve.Cache.create () in
+  let scn = scenario_of_seed 12 in
+  let _, prof, _, _ = Serve.Cache.profile cache scn in
+  let tree =
+    Gcr.Flow.run ~options:scn.Conformance.Scenario.options
+      (Conformance.Scenario.config scn) prof scn.Conformance.Scenario.sinks
+  in
+  let chunk =
+    Array.make
+      (Activity.Instr_stream.length (Conformance.Scenario.instr_stream scn))
+      0
+  in
+  let _, drifted = Serve.Cache.update cache scn ~chunk in
+  match Serve.Cache.audit (Activity.Pcache.create drifted) tree with
+  | (_ : int * int) -> Alcotest.fail "audit passed across a profile drift"
+  | exception
+      Util.Gcr_error.Error (Util.Gcr_error.Engine_mismatch { stage; _ }) ->
+    Alcotest.(check string) "typed audit mismatch" "serve:audit" stage
+
 (* ------------------------------------------------------------------ *)
 (* The daemon over a real socket                                      *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?(workers = 2) ?(queue_cap = 64) ?default_budget_ms f =
+let with_server ?(workers = 2) ?(queue_cap = 64) ?default_budget_ms
+    ?(cache_capacity = 32) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gcr-test-%d-%d.sock" (Unix.getpid ()) (Thread.id (Thread.self ())))
@@ -442,6 +450,7 @@ let with_server ?(workers = 2) ?(queue_cap = 64) ?default_budget_ms f =
       Serve.Server.workers;
       queue_cap;
       default_budget_ms;
+      cache_capacity;
       read_timeout_s = 2.0;
     }
   in
@@ -598,14 +607,12 @@ let test_server_backpressure () =
   Alcotest.(check int) "server agrees" backpressured
     stats.Serve.Server.rejected_backpressure
 
-(* A large request under a ~1 ms budget: the first rung completes past
-   its deadline (a finished tree beats a timeout) and the optional
-   stages are skipped — degraded-but-answered, with the provenance
-   tagged in the response. *)
-let test_server_budget_degrades () =
-  let base = scenario_of_seed 300 in
-  let n = 3000 in
-  let prng = Util.Prng.create 301 in
+(* [n] sinks on a quarter-unit grid (so the rendered scenario re-parses
+   to the same coordinates) over the workload of [scenario_of_seed
+   seed]. *)
+let grid_scenario ~seed ~n ~tag =
+  let base = scenario_of_seed seed in
+  let prng = Util.Prng.create (seed + 1) in
   let n_modules = Activity.Rtl.n_modules base.Conformance.Scenario.rtl in
   let die = 400.0 in
   let sinks =
@@ -618,14 +625,19 @@ let test_server_budget_degrades () =
           ~cap:1.0
           ~module_id:(id mod n_modules))
   in
-  let scn =
-    { base with
-      Conformance.Scenario.tag = "serve-test budget";
-      die_side = die;
-      sinks;
-      options = Gcr.Flow.default;
-      test_en = false }
-  in
+  { base with
+    Conformance.Scenario.tag;
+    die_side = die;
+    sinks;
+    options = Gcr.Flow.default;
+    test_en = false }
+
+(* A large request under a ~1 ms budget: the first rung completes past
+   its deadline (a finished tree beats a timeout) and the optional
+   stages are skipped — degraded-but-answered, with the provenance
+   tagged in the response. *)
+let test_server_budget_degrades () =
+  let scn = grid_scenario ~seed:300 ~n:3000 ~tag:"serve-test budget" in
   let resp, stats =
     with_server (fun addr ->
         let c = Serve.Client.connect addr in
@@ -647,6 +659,57 @@ let test_server_budget_degrades () =
   | Serve.Proto.Reject r ->
     Alcotest.failf "expected a degraded answer, got reject %s: %s"
       r.Serve.Proto.error_class r.Serve.Proto.message);
+  Alcotest.(check bool) "drained clean" true stats.Serve.Server.drained_clean
+
+(* A one-workload cache and two workers: a second connection's
+   different workload evicts the first request's workload while it is
+   still routing. Eviction publishes no newer epoch, so both requests
+   must be audited against the profiles they routed with and answered,
+   the large one bit-identical to a one-shot route. *)
+let test_server_eviction_mid_route () =
+  let large = grid_scenario ~seed:500 ~n:800 ~tag:"serve-test eviction" in
+  let small = scenario_of_seed 502 in
+  Alcotest.(check bool) "two workloads" false
+    (Int64.equal (Serve.Cache.workload_key large) (Serve.Cache.workload_key small));
+  let request id scn =
+    { Serve.Proto.id; scenario = Conformance.Scenario.render scn;
+      budget_ms = None; paranoid = false; kind = Serve.Proto.Route }
+  in
+  let recv c =
+    match Serve.Client.recv ~timeout_s:300.0 c with
+    | Ok (Some r) -> r
+    | Ok None -> Alcotest.fail "no response"
+    | Error e -> Alcotest.failf "transport error: %s" e
+  in
+  let (large_resp, small_resp), stats =
+    with_server ~workers:2 ~cache_capacity:1 (fun addr ->
+        let ca = Serve.Client.connect addr in
+        let cb = Serve.Client.connect addr in
+        Fun.protect
+          ~finally:(fun () ->
+            Serve.Client.close ca;
+            Serve.Client.close cb)
+        @@ fun () ->
+        Serve.Client.send ca (request 0 large);
+        (* long enough for the large request to look up its workload,
+           far shorter than its route *)
+        Unix.sleepf 0.05;
+        Serve.Client.send cb (request 1 small);
+        let small_resp = recv cb in
+        (recv ca, small_resp))
+  in
+  let digest_of what = function
+    | Serve.Proto.Answer a -> a.Serve.Proto.digest
+    | Serve.Proto.Reject r ->
+      Alcotest.failf "%s request rejected (%s): %s" what
+        r.Serve.Proto.error_class r.Serve.Proto.message
+  in
+  Alcotest.(check string) "large answer bit-identical to one-shot"
+    (Serve.Digest.to_hex (Serve.Digest.tree (route_scenario large)))
+    (digest_of "large" large_resp);
+  Alcotest.(check string) "small answer bit-identical to one-shot"
+    (Serve.Digest.to_hex (Serve.Digest.tree (route_scenario small)))
+    (digest_of "small" small_resp);
   Alcotest.(check bool) "drained clean" true stats.Serve.Server.drained_clean
 
 let test_server_zero_budget_rejects () =
@@ -722,7 +785,9 @@ let () =
       ( "cache",
         [ Alcotest.test_case "warm flag and audit" `Quick test_cache_warm_and_audit;
           Alcotest.test_case "update advances epoch" `Quick
-            test_cache_update_epoch ] );
+            test_cache_update_epoch;
+          Alcotest.test_case "audit trips on a drifted profile" `Quick
+            test_cache_audit_tripwire ] );
       ( "daemon",
         [
           Alcotest.test_case "smoke: 48 ok + 2 poison" `Slow
@@ -733,6 +798,8 @@ let () =
             test_server_budget_degrades;
           Alcotest.test_case "zero budget rejects" `Quick
             test_server_zero_budget_rejects;
+          Alcotest.test_case "workload evicted mid-route" `Slow
+            test_server_eviction_mid_route;
         ] );
       ( "campaign",
         [ Alcotest.test_case "35-fault smoke" `Slow test_campaign_smoke ] );
