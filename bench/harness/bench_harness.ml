@@ -1398,23 +1398,12 @@ let serve_bench () =
   in
   let p50 = pct 0.50 and p99 = pct 0.99 in
   let rps = float_of_int total /. wall in
-  (* Each answer's audit runs on its own fresh pcache, so the hit rate
-     measures repeats within one tree, whether or not the workload was
-     warm. *)
-  let cold = ref 0 and audit_hits = ref 0 and audit_total = ref 0 in
+  let cold = ref 0 in
   Array.iter
     (function
-      | None -> ()
-      | Some (a : Serve.Proto.answer) ->
-        if not a.Serve.Proto.cache_warm then incr cold;
-        audit_hits := !audit_hits + a.Serve.Proto.audit_hits;
-        audit_total :=
-          !audit_total + a.Serve.Proto.audit_hits + a.Serve.Proto.audit_misses)
+      | Some (a : Serve.Proto.answer) when not a.Serve.Proto.cache_warm -> incr cold
+      | _ -> ())
     answers;
-  let audit_rate =
-    if !audit_total = 0 then 0.0
-    else float_of_int !audit_hits /. float_of_int !audit_total
-  in
   let open Util.Text_table in
   let t =
     create
@@ -1428,9 +1417,6 @@ let serve_bench () =
   add_row t [ "latency p50 (ms)"; Printf.sprintf "%.2f" (p50 /. 1e6) ];
   add_row t [ "latency p99 (ms)"; Printf.sprintf "%.2f" (p99 /. 1e6) ];
   add_row t [ "cold workload sightings"; string_of_int !cold ];
-  add_row t
-    [ "per-request audit pcache hit rate";
-      Printf.sprintf "%.1f%%" (100.0 *. audit_rate) ];
   print t;
   (match !daemon_stats with
   | Some s ->
@@ -1441,9 +1427,8 @@ let serve_bench () =
   record "serve"
     (Printf.sprintf
        "{\"requests\": %d, \"workloads\": %d, \"requests_per_s\": %.1f, \
-        \"p50_ns\": %.1f, \"p99_ns\": %.1f, \"cold\": %d, \
-        \"audit_hit_rate\": %.4f}"
-       total n_workloads rps p50 p99 !cold audit_rate)
+        \"p50_ns\": %.1f, \"p99_ns\": %.1f, \"cold\": %d}"
+       total n_workloads rps p50 p99 !cold)
 
 (* ------------------------------------------------------------------ *)
 (* ECO repair: streaming chunk update + local repair vs full re-route  *)

@@ -114,8 +114,8 @@ let verify_arg =
 let trace_arg =
   let doc =
     "Trace the run through the Util.Obs observability layer and report \
-     per-stage wall time, allocations, and pipeline counters (Pcache hit \
-     rate, greedy heap traffic, degradation rungs). $(docv) is $(b,text) \
+     per-stage wall time, allocations, and pipeline counters (greedy heap \
+     traffic, degradation rungs). $(docv) is $(b,text) \
      (print tables, the default) or $(b,json) (write a stable JSON report \
      for $(b,gcr stats), see $(b,--trace-out))."
   in

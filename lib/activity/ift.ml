@@ -31,16 +31,6 @@ let p_any t set =
   done;
   float_of_int !hits /. float_of_int t.total
 
-let p_any_scratch t buf =
-  if Module_set.scratch_universe buf <> Rtl.n_modules t.rtl then
-    invalid_arg "Ift.p_any_scratch: universe mismatch";
-  let hits = ref 0 in
-  for i = 0 to Array.length t.counts - 1 do
-    if Module_set.scratch_intersects buf (Rtl.uses t.rtl i) then
-      hits := !hits + t.counts.(i)
-  done;
-  float_of_int !hits /. float_of_int t.total
-
 let p_module t m = p_any t (Module_set.singleton (Rtl.n_modules t.rtl) m)
 
 let pp ppf t =

@@ -31,11 +31,6 @@ val p_any : t -> Module_set.t -> float
     active: the signal probability [P(EN)] of a gate whose subtree spans
     [s]. Raises [Invalid_argument] on a universe mismatch. *)
 
-val p_any_scratch : t -> Module_set.scratch -> float
-(** {!p_any} of the set currently held by a scratch buffer, without
-    freezing it into an immutable set. Agrees exactly with
-    [p_any t (freeze buf)]. *)
-
 val p_module : t -> int -> float
 (** [P(M_m)]: probability module [m] is active. *)
 

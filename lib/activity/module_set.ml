@@ -94,62 +94,3 @@ let to_list s = List.rev (fold (fun m acc -> m :: acc) s [])
 
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (to_list s)))
-
-(* ------------------------------------------------------------------ *)
-(* Scratch buffers: mutable word arrays for allocation-free unions.   *)
-(* ------------------------------------------------------------------ *)
-
-type scratch = { sn : int; swords : int array }
-
-let scratch n =
-  if n < 0 then invalid_arg "Module_set.scratch: negative universe";
-  { sn = n; swords = Array.make (words_for n) 0 }
-
-let scratch_universe b = b.sn
-
-let check_scratch name b s =
-  if b.sn <> s.n then
-    invalid_arg
-      (Printf.sprintf "Module_set.%s: universe mismatch (%d vs %d)" name b.sn s.n)
-
-let union_into b x y =
-  check_scratch "union_into" b x;
-  check_scratch "union_into" b y;
-  let xb = x.bits and yb = y.bits and w = b.swords in
-  for i = 0 to Array.length w - 1 do
-    w.(i) <- xb.(i) lor yb.(i)
-  done
-
-let blit_into b x =
-  check_scratch "blit_into" b x;
-  Array.blit x.bits 0 b.swords 0 (Array.length b.swords)
-
-(* FNV-1a over the words; only required to be self-consistent (the memo
-   tables store this hash next to the frozen key). *)
-let hash_words words =
-  let h = ref 0x811c9dc5 in
-  Array.iter (fun w ->
-      h := (!h lxor (w land 0x3fffffff)) * 0x01000193;
-      h := (!h lxor (w lsr 30)) * 0x01000193)
-    words;
-  (* The FNV multiplies run in full native-int width, where a bit can only
-     influence bits above it — the low bits (used as bucket indices) would
-     never see high input bits. Mix them down, splitmix64-style. *)
-  let x = !h in
-  let x = x lxor (x lsr 33) in
-  let x = x * 0x2545F4914F6CDD1D in
-  let x = x lxor (x lsr 29) in
-  x land max_int
-
-let scratch_hash b = hash_words b.swords
-
-let scratch_equal b s =
-  b.sn = s.n && Array.for_all2 ( = ) b.swords s.bits
-
-let scratch_intersects b s =
-  check_scratch "scratch_intersects" b s;
-  let w = b.swords and o = s.bits in
-  let rec go i = i < Array.length w && (w.(i) land o.(i) <> 0 || go (i + 1)) in
-  go 0
-
-let freeze b = { n = b.sn; bits = Array.copy b.swords }

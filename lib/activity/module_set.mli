@@ -62,42 +62,3 @@ val iter : (int -> unit) -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{0,3,5}]. *)
-
-(** {2 Scratch buffers}
-
-    The greedy merge evaluates hundreds of thousands of candidate unions
-    per run; allocating a fresh set for each would dominate the cost
-    function. A scratch buffer is a mutable word array that can hold the
-    union of two sets, be hashed and compared against immutable sets
-    without allocating, and be frozen into a real set only on a memo-table
-    miss. *)
-
-type scratch
-
-val scratch : int -> scratch
-(** [scratch n] is an uninitialized buffer over universe [0..n-1]. Raises
-    [Invalid_argument] when [n < 0]. *)
-
-val scratch_universe : scratch -> int
-
-val union_into : scratch -> t -> t -> unit
-(** [union_into b x y] overwrites [b] with [x ∪ y] without allocating.
-    Raises [Invalid_argument] on mismatched universes. *)
-
-val blit_into : scratch -> t -> unit
-(** [blit_into b x] overwrites [b] with [x]. *)
-
-val scratch_hash : scratch -> int
-(** Hash of the buffer's current contents. Consistent with
-    {!scratch_equal}: equal contents hash equally. NOT consistent with
-    {!hash} — memo tables must store this hash alongside frozen keys. *)
-
-val scratch_equal : scratch -> t -> bool
-(** Does the buffer currently hold exactly this set? *)
-
-val scratch_intersects : scratch -> t -> bool
-(** [intersects] against the buffer's current contents, without freezing.
-    Raises [Invalid_argument] on mismatched universes. *)
-
-val freeze : scratch -> t
-(** Immutable snapshot of the buffer's current contents. *)

@@ -65,11 +65,6 @@ let ptr t set =
   | Sampled { imatt; _ } -> Imatt.ptr imatt set
   | Analytic model -> Markov.ptr model set
 
-let p_scratch t buf =
-  match t with
-  | Sampled { ift; _ } -> Ift.p_any_scratch ift buf
-  | Analytic model -> Markov.p_any model (Module_set.freeze buf)
-
 let p_module t m = p t (Module_set.singleton (n_modules t) m)
 
 let signature_kernel = function

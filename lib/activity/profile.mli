@@ -56,10 +56,6 @@ val p : t -> Module_set.t -> float
 val ptr : t -> Module_set.t -> float
 (** Transition probability [Ptr(EN)] of that enable. *)
 
-val p_scratch : t -> Module_set.scratch -> float
-(** {!p} of the set currently held by a scratch buffer. Allocation-free
-    for sampled profiles; analytic profiles freeze the buffer first. *)
-
 val p_module : t -> int -> float
 
 val signature_kernel : t -> Signature.kernel option

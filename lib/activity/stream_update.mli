@@ -13,8 +13,8 @@
     ({!Signature.patch_kernel}); when new instruction pairs appeared it
     is rebuilt.
 
-    The accumulator is single-owner mutable state (like a {!Pcache}):
-    ingest and materialize from one domain. Profiles returned by
+    The accumulator is single-owner mutable state: ingest and
+    materialize from one domain. Profiles returned by
     {!profile} share the accumulator's kernel — after a further
     [ingest]+[profile ~patch:true] cycle, earlier returned profiles must
     not be queried (their kernel's arenas were patched). Pass

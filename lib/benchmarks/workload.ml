@@ -1,6 +1,6 @@
 let group_of ~n_modules ~n_groups m = m * n_groups / n_modules
 
-let default_groups n_modules = max 4 (min 16 (n_modules / 24))
+let default_groups n_modules = min n_modules (max 4 (min 16 (n_modules / 24)))
 
 (* Solve for the per-instruction probability q that a non-core group is
    used, so that the average fraction of active modules hits [usage]:
@@ -27,7 +27,7 @@ let make_rtl ~n_modules ~n_instructions ~usage ?n_groups
       if g <= 0 || g > n_modules then
         invalid_arg "Workload.make_rtl: n_groups outside [1, n_modules]";
       g
-    | None -> min n_modules (default_groups n_modules)
+    | None -> default_groups n_modules
   in
   let prng = Util.Prng.create seed in
   let q = group_use_prob ~usage ~within_density ~core_fraction in

@@ -20,10 +20,11 @@ val group_of : n_modules:int -> n_groups:int -> int -> int
 
 val default_groups : int -> int
 (** Default group count for a module universe: one group per ~24 modules,
-    clamped to [4..16] — a chip has a bounded number of functional units;
-    on bigger dies the units themselves grow, and it is precisely those
-    large correlated clusters that keep enable probabilities low high up
-    the tree. *)
+    clamped to [4..16] and never above the module count (a universe of
+    [n < 4] modules gets [n] groups) — a chip has a bounded number of
+    functional units; on bigger dies the units themselves grow, and it is
+    precisely those large correlated clusters that keep enable
+    probabilities low high up the tree. *)
 
 val make_rtl :
   n_modules:int ->

@@ -3,7 +3,7 @@ let check (sc : Scenario.t) =
   let profile = Scenario.profile sc in
   let options = sc.Scenario.options in
   let tree = Gcr.Flow.run ~options config profile sc.Scenario.sinks in
-  Gsim.Invariant.structural tree;
+  Gcr.Verify.structural tree;
   Oracles.analytic_vs_simulated tree;
   Oracles.signature_vs_tables tree;
   (* Staged determinism: the bundled pipeline is exactly its three stages
@@ -39,7 +39,7 @@ let check (sc : Scenario.t) =
   Oracles.test_mode_bypass tree (Scenario.instr_stream sc);
   if sc.Scenario.test_en then begin
     let forced = Gcr.Gated_tree.with_test_en tree true in
-    Gsim.Invariant.structural forced;
+    Gcr.Verify.structural forced;
     Oracles.analytic_vs_simulated forced
   end;
   (* Greedy reduction only ever accepts removals whose gain model says W

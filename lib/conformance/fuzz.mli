@@ -5,7 +5,7 @@
 val check : Scenario.t -> unit
 (** The full conformance check of one scenario:
 
-    - {!Gcr.Flow.run} of the scenario, then {!Gsim.Invariant.structural}
+    - {!Gcr.Flow.run} of the scenario, then {!Gcr.Verify.structural}
       on the result (zero skew by independent Elmore recomputation,
       enable OR-consistency, governing chains, cost accounting);
     - {!Oracles.analytic_vs_simulated} — cycle-accurate replay vs. the

@@ -376,7 +376,7 @@ let eco_repair_matches_scratch ?threshold (sc : Scenario.t) =
   let updated = Activity.Stream_update.profile acc in
   let report = Gcr.Eco.repair ?threshold ~options base updated in
   let repaired = report.Gcr.Eco.tree in
-  Gsim.Invariant.structural repaired;
+  Gcr.Verify.structural repaired;
   analytic_vs_simulated repaired;
   let scratch = with_test (Gcr.Flow.run ~options config updated sc.Scenario.sinks) in
   if report.Gcr.Eco.full_rebuild then

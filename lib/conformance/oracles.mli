@@ -4,7 +4,7 @@
     Each oracle raises [Util.Gcr_error.Error] with an [Engine_mismatch]
     whose stage names the oracle and whose detail describes the first
     disagreement; {!Fuzz} runs them (together with
-    {!Gsim.Invariant.structural}) on every scenario. *)
+    {!Gcr.Verify.structural}) on every scenario. *)
 
 val same_tree : what:string -> Gcr.Gated_tree.t -> Gcr.Gated_tree.t -> unit
 (** Bit-for-bit structural identity of two gated trees built over the

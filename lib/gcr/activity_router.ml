@@ -9,18 +9,6 @@ let check_sink_modules profile sinks =
              "Activity_router: sink module %d outside the %d-module profile" m n_mods))
     sinks
 
-(* Gather buffer for batched candidate costing: [cost_many] collects
-   the partner signatures (or module sets) contiguously before one
-   batched probability call. Allocated per call — reusing a buffer in
-   domain-local storage looks safe (the engine's initial seedings run
-   across domains under par_seed) but is not: whole routes also run
-   concurrently on sibling systhreads of one domain (the serve
-   daemon's in-process ground-truth checks), and a thread switch
-   inside the batched kernel call lets another route clobber the
-   shared buffer mid-read. One chunk-sized allocation per call is
-   noise next to the kernel sweep it feeds. *)
-let gather cnt get = Array.init cnt get
-
 (* Sampled profiles route on instruction-hit signatures (Activity.Signature):
    each root carries the bitset of instructions that touch its subtree, a
    candidate's exact P(EN) is a word-wise OR plus a count-weighted popcount,
@@ -60,7 +48,15 @@ let signature_topology ~dense (config : Config.t) profile kern sinks =
      per lane to the scalar divide) and the same `p +. tie *. dist`
      float expression, so the engine can mix both paths freely. *)
   let cost_many v us cnt out =
-    let b = gather cnt (fun i -> sigs.(us.(i))) in
+    (* The partner signatures are gathered into a buffer allocated per
+       call. Reusing one in domain-local storage looks safe (the initial
+       seedings run across domains under par_seed) but is not: whole
+       routes also run concurrently on sibling systhreads of one domain
+       (the serve daemon's in-process ground-truth checks), and a thread
+       switch inside the batched kernel call lets another route clobber
+       the shared buffer mid-read. One chunk-sized allocation per call
+       is noise next to the kernel sweep it feeds. *)
+    let b = Array.init cnt (fun i -> sigs.(us.(i))) in
     Activity.Signature.p_union_batch kern sigs.(v) ~n:cnt b out;
     for i = 0 to cnt - 1 do
       out.(i) <- out.(i) +. (tie *. Clocktree.Grow.dist grow v us.(i))
@@ -81,45 +77,34 @@ let signature_topology ~dense (config : Config.t) profile kern sinks =
   in
   Clocktree.Grow.topology grow
 
-(* Analytic profiles have no tables to index; candidate unions are
-   evaluated in the Pcache scratch buffer and memoized by module set. *)
-let pcache_topology ~dense (config : Config.t) profile sinks =
+(* Profiles without a signature kernel (analytic, or tables-only) cost a
+   candidate by a direct [Profile.p] of the union — an IFT scan or the
+   closed-form Markov query — on the exhaustive scan source. *)
+let direct_topology ~dense (config : Config.t) profile sinks =
   let tech = config.Config.tech in
   let n = Array.length sinks in
   let grow =
     Clocktree.Grow.create tech ~edge_gate:(Some tech.Clocktree.Tech.and_gate) sinks
   in
-  let mods = Array.make ((2 * n) - 1) None in
+  let empty = Activity.Module_set.empty (Activity.Profile.n_modules profile) in
+  let mods = Array.make ((2 * n) - 1) empty in
   for v = 0 to n - 1 do
-    mods.(v) <- Some (Enable.of_sink profile sinks.(v)).Enable.mods
+    mods.(v) <- (Enable.of_sink profile sinks.(v)).Enable.mods
   done;
-  let mods_of v = match mods.(v) with Some m -> m | None -> assert false in
-  let cache = Activity.Pcache.create profile in
   let tie = 1e-6 /. (1.0 +. Geometry.Bbox.width config.Config.die) in
   let cost a b =
-    let p = Activity.Pcache.p_union cache (mods_of a) (mods_of b) in
-    p +. (tie *. Clocktree.Grow.dist grow a b)
-  in
-  (* Pcache is single-domain state, so no par_seed here; batching still
-     saves the per-candidate closure dispatch and keeps the memo scratch
-     hot across a chunk. Element-wise identical to [cost]. *)
-  let cost_many v us cnt out =
-    let b = gather cnt (fun i -> mods_of us.(i)) in
-    Activity.Pcache.p_union_batch cache (mods_of v) ~n:cnt b out;
-    for i = 0 to cnt - 1 do
-      out.(i) <- out.(i) +. (tie *. Clocktree.Grow.dist grow v us.(i))
-    done
+    Activity.Profile.p profile (Activity.Module_set.union mods.(a) mods.(b))
+    +. (tie *. Clocktree.Grow.dist grow a b)
   in
   let merge a b =
     let k = Clocktree.Grow.merge grow a b in
-    mods.(k) <- Some (Activity.Module_set.union (mods_of a) (mods_of b));
+    mods.(k) <- Activity.Module_set.union mods.(a) mods.(b);
     k
   in
   let _root =
     if dense then Clocktree.Greedy.merge_all_dense ~n ~cost ~merge
-    else Clocktree.Greedy.merge_all_with ~cost_many Clocktree.Greedy.scan ~n ~cost ~merge
+    else Clocktree.Greedy.merge_all ~n ~cost ~merge
   in
-  Activity.Pcache.flush_obs cache;
   Clocktree.Grow.topology grow
 
 let build_topology ~dense config profile sinks =
@@ -127,7 +112,7 @@ let build_topology ~dense config profile sinks =
   check_sink_modules profile sinks;
   match Activity.Profile.signature_kernel profile with
   | Some kern -> signature_topology ~dense config profile kern sinks
-  | None -> pcache_topology ~dense config profile sinks
+  | None -> direct_topology ~dense config profile sinks
 
 let topology config profile sinks = build_topology ~dense:false config profile sinks
 

@@ -13,9 +13,12 @@
 val topology :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> Clocktree.Topo.t
 (** Merge ordering by minimum merged-enable probability (geometric
-    distance breaks ties at 1e-6 weight). Candidate probabilities are
-    memoized ({!Activity.Pcache}) and the greedy runs on the O(n)-memory
-    nearest-neighbor engine. Raises like {!Router.route}. *)
+    distance breaks ties at 1e-6 weight). The greedy runs on the
+    O(n)-memory engine: sampled profiles cost candidates on their
+    {!Activity.Signature} kernel under a per-root probability bound;
+    profiles without a kernel (analytic, {!Activity.Profile.tables_only})
+    cost each candidate by a direct {!Activity.Profile.p} of the union
+    on an exhaustive scan. Raises like {!Router.route}. *)
 
 val topology_dense :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> Clocktree.Topo.t

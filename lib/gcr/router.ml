@@ -41,9 +41,13 @@ let merge t a b =
   t.enables.(k) <- Some (Enable.merge t.profile (enable t a) (enable t b));
   k
 
-(* Eq. (3) mixes probability and star terms, so there is no spatial
-   lower bound to prune with; the scan-source engine still replaces the
-   O(n^2)-entry pair heap with one entry per active root. *)
+(* Eq. (3) does admit a pairwise lower bound. With K(x) = C_g·P_x +
+   control(x), the part of a root's cost that does not depend on its
+   partner, zero skew gives e_a + e_b >= d(q,u), so
+     cost q u >= K(q) + K(u) + c·min(P_q,P_u)·d(q,u).
+   Nothing prunes with it yet: the scan-source engine costs every active
+   partner, though with one heap entry per active root instead of an
+   O(n^2)-entry pair heap. *)
 let run t =
   let n = Clocktree.Grow.n_sinks t.grow in
   let cost a b = cost t a b and merge a b = merge t a b in

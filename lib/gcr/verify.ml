@@ -1,10 +1,10 @@
 (* Standalone structural verification of a gated tree, typed.
 
-   These checks lived in Gsim.Invariant (PR 3), above the gcr library;
-   they moved down here so Flow's paranoid mode can run them between
-   pipeline stages without a dependency cycle, and so a violation raises
-   a classified Gcr_error (Engine_mismatch / Numerical) instead of a
-   bare Failure. Gsim.Invariant now delegates to this module. *)
+   The checks live in the gcr library so Flow's paranoid mode can run
+   them between pipeline stages without a dependency cycle, and so a
+   violation raises a classified Gcr_error (Engine_mismatch / Numerical)
+   instead of a bare Failure. The simulator's Check.validate and the
+   conformance fuzzer call them directly. *)
 
 let fail invariant fmt =
   Printf.ksprintf

@@ -6,8 +6,8 @@
     raises {!Util.Gcr_error.Error} ([Engine_mismatch], or [Numerical] for
     non-finite floats) naming the invariant and the first offending node.
     {!Flow.run_checked}'s paranoid mode runs them between pipeline stages
-    to decide when to fall back to a reference engine; [Gsim.Invariant]
-    re-exports them for the simulator and the conformance fuzzer. *)
+    to decide when to fall back to a reference engine; [Gsim.Check] and
+    the conformance fuzzer call them directly. *)
 
 val finite : Gated_tree.t -> unit
 (** Every float the tree stores — coordinates, edge lengths, sink loads,

@@ -25,11 +25,11 @@
     profile keep it alive and consistent).
 
     {!audit} is the daemon's safety net: after routing, the worker
-    re-derives every node's enable probability through a request-local
-    {!Activity.Pcache} over the profile the tree was routed with and
-    demands exact equality with the tree — any disagreement (a torn
-    profile, a corrupted cache) is a typed [Engine_mismatch] reject
-    instead of a silently wrong answer. *)
+    re-derives every node's enable probability by an IFT table scan of
+    the profile the tree was routed with and demands exact equality
+    with the tree — any disagreement (a torn profile, a corrupted
+    kernel) is a typed [Engine_mismatch] reject instead of a silently
+    wrong answer. *)
 
 type t
 
@@ -67,12 +67,15 @@ val epoch : t -> key:int64 -> int option
     not resident. *)
 
 val audit : Activity.Pcache.t -> Gcr.Gated_tree.t -> int * int
-(** Recompute every node's enable signal probability through the pcache
-    and compare exactly against the tree's own values; returns the
-    [(hits, misses)] delta this audit contributed (on a fresh pcache:
-    the repeats within this one tree). Raises
-    {!Util.Gcr_error.Error} with [Engine_mismatch] on any disagreement.
-    The pcache must be over the profile the tree was routed with. *)
+(** Recompute every node's enable signal probability with
+    {!Activity.Pcache.p} — a direct table scan, never the signature
+    kernel the route costed with, so the check stays independent of the
+    route — and compare exactly against the tree's own values. Returns
+    [(0, nodes audited)]: the pair keeps the shape of the answer's
+    [audit_hits]/[audit_misses] fields, and nothing is memoized. Raises
+    {!Util.Gcr_error.Error} with [Engine_mismatch] (stage
+    ["serve:audit"]) on any disagreement. The handle must be over the
+    profile the tree was routed with. *)
 
 val resident : t -> int
 (** Number of workloads currently resident. *)

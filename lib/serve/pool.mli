@@ -15,8 +15,8 @@
 
     Shutdown is {!drain}: admission closes ([`Draining] rejects), queued
     and in-flight jobs run to completion, workers exit and are joined.
-    Jobs carry no worker identity: any state a job queries single-writer
-    (an audit's {!Activity.Pcache}) is created inside the job itself. *)
+    Jobs carry no worker identity: any per-request state a job needs is
+    created inside the job itself. *)
 
 type t
 

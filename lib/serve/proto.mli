@@ -49,10 +49,9 @@ type answer = {
   buffers : int;
   wirelen : float;
   audit_hits : int;
-      (** {!Activity.Pcache} hits during the response audit, which runs
-          on a pcache local to this request: the enable sets repeated
-          within this one tree *)
-  audit_misses : int;
+      (** always 0: the response audit memoizes nothing; the field is
+          kept for the wire format *)
+  audit_misses : int;  (** tree nodes the response audit re-derived *)
   cache_warm : bool;  (** the workload profile was already resident *)
   epoch : int;
       (** profile epoch the tree was routed (and audited) against — 0

@@ -240,8 +240,7 @@ let evaluate cfg cache (req : Proto.request) =
            retry needs another update to land inside the route window).
            Otherwise — including when the workload was evicted, which
            publishes no newer epoch — the tree is audited against the
-           profile it was routed with, on a pcache local to this
-           request. *)
+           profile it was routed with. *)
         let rec routed attempt =
           let key, profile, epoch, warm = Cache.profile cache scenario in
           match
@@ -261,9 +260,9 @@ let evaluate cfg cache (req : Proto.request) =
                  -> %d after %d attempts)"
                 epoch current attempt
             | Some _ | None ->
-              let pc = Activity.Pcache.create profile in
-              let audit_hits, audit_misses = Cache.audit pc tree in
-              Activity.Pcache.flush_obs pc;
+              let audit_hits, audit_misses =
+                Cache.audit (Activity.Pcache.create profile) tree
+              in
               `Answer
                 {
                   Proto.id = req.id;

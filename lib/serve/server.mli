@@ -29,9 +29,7 @@
       {!install_signal_stop}): the listener closes, admission rejects
       with [`Draining], in-flight work finishes (or degrades under its
       budget), responses flush, worker domains and connection threads
-      join, and {!run} returns its {!stats}. Each request's audit
-      pcache published its counters when the request finished, so
-      nothing is left to flush. *)
+      join, and {!run} returns its {!stats}. *)
 
 type address = Unix_socket of string | Tcp of string * int
 

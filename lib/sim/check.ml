@@ -24,7 +24,7 @@ let compare tree =
   }
 
 let validate ?(tolerance = 1e-9) ?(structural = true) tree =
-  if structural then Invariant.structural tree;
+  if structural then Gcr.Verify.structural tree;
   let c = compare tree in
   (* Tol.close rather than a rel_error threshold so a NaN on either side
      is a mismatch, never a silent pass. *)

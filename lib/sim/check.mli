@@ -20,7 +20,7 @@ val compare : Gcr.Gated_tree.t -> comparison
 (** Simulates the tree over its own profile's stream. *)
 
 val validate : ?tolerance:float -> ?structural:bool -> Gcr.Gated_tree.t -> unit
-(** Runs the {!Invariant.structural} checks (unless [structural] is
+(** Runs the {!Gcr.Verify.structural} checks (unless [structural] is
     [false]), then raises a typed {!Util.Gcr_error.Error}
     ([Engine_mismatch]) when the analytic and simulated capacitances
     disagree beyond relative [tolerance] (default 1e-9); a NaN on either

@@ -4,7 +4,7 @@
    Everything is designed to be left compiled in: with tracing disabled
    (the default) a counter bump or span entry is a single atomic load and
    a branch, so the instrumented hot paths (greedy merge loops, signature
-   queries, Pcache probes) pay nanoseconds, not a redesign. Counters are
+   queries) pay nanoseconds, not a redesign. Counters are
    atomics and safe to bump from any Util.Parallel domain; spans keep an
    explicit stack and must be opened and closed on one domain (the
    pipeline driver), which every current caller satisfies. *)
@@ -284,12 +284,6 @@ let render r =
     Buffer.add_string buf (Text_table.render table);
     (* Derived rates worth surfacing without making the reader divide. *)
     let c k = Option.value (List.assoc_opt k r.counters) ~default:0 in
-    let hits = c "pcache.hits" and misses = c "pcache.misses" in
-    if hits + misses > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf "pcache hit rate: %.1f%% (%d hits / %d misses)\n"
-           (100.0 *. float_of_int hits /. float_of_int (hits + misses))
-           hits misses);
     let pops = c "greedy.heap_pops" and stale = c "greedy.stale_discards" in
     if pops > 0 then
       Buffer.add_string buf

@@ -7,7 +7,7 @@
     - {b Cheap enough to leave compiled in.} With tracing disabled (the
       default) every probe — counter bump, gauge set, span entry — is one
       atomic load and a branch. Hot loops (greedy merges, signature
-      queries, Pcache probes) keep their handles in top-level lets so the
+      queries) keep their handles in top-level lets so the
       enabled path is an atomic increment, never a hashtable lookup.
     - {b One time source.} {!Clock} reads [CLOCK_MONOTONIC] via a local C
       stub; budget and elapsed-time arithmetic anywhere in [lib/] must use
@@ -113,8 +113,8 @@ val run : (unit -> 'a) -> 'a * report
 
 val render : report -> string
 (** Pretty multi-table text (via {!Text_table}): span tree with time and
-    allocations, counters (plus derived rates such as the Pcache hit rate
-    when its counters are present), and gauges. *)
+    allocations, counters (plus derived rates such as the greedy
+    stale-pop rate when its counters are present), and gauges. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -100,7 +100,13 @@ let test_group_of_contiguous () =
 
 let test_default_groups_bounds () =
   Alcotest.(check int) "small" 4 (Benchmarks.Workload.default_groups 6);
-  Alcotest.(check int) "large clamps" 16 (Benchmarks.Workload.default_groups 10_000)
+  Alcotest.(check int) "large clamps" 16 (Benchmarks.Workload.default_groups 10_000);
+  (* never more groups than modules *)
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "n = %d" n) n
+        (Benchmarks.Workload.default_groups n))
+    [ 1; 2; 3 ]
 
 let test_make_rtl_validation () =
   Alcotest.check_raises "usage 0" (Invalid_argument "Workload.make_rtl: usage outside (0,1]")
@@ -193,6 +199,22 @@ let test_suite_usage_override () =
     (float_of_int (Array.length lo.Benchmarks.Suite.sinks))
     (float_of_int (Array.length hi.Benchmarks.Suite.sinks))
 
+(* A suite scaled below four sinks must still route: the default group
+   count may not exceed the module universe. *)
+let test_suite_tiny_scaled () =
+  List.iter
+    (fun k ->
+      let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:k in
+      let case = Benchmarks.Suite.case ~stream_length:200 spec in
+      let tree =
+        Gcr.Flow.run case.Benchmarks.Suite.config case.Benchmarks.Suite.profile
+          case.Benchmarks.Suite.sinks
+      in
+      Gcr.Gated_tree.check_invariants tree;
+      Alcotest.(check int) (Printf.sprintf "%d sinks routed" k) k
+        (Clocktree.Topo.n_sinks tree.Gcr.Gated_tree.topo))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "benchmarks"
     [
@@ -219,6 +241,7 @@ let () =
         [
           Alcotest.test_case "case" `Quick test_suite_case;
           Alcotest.test_case "table4" `Quick test_suite_table4;
+          Alcotest.test_case "tiny scaled cases route" `Quick test_suite_tiny_scaled;
           Alcotest.test_case "usage override" `Quick test_suite_usage_override;
         ] );
     ]

@@ -130,8 +130,8 @@ let test_zero_skew_detects_tamper () =
                  gate_share = Gcr.Flow.No_share; eco = Gcr.Flow.No_eco } }
   in
   let tree = all_gated_tree sc in
-  Gsim.Invariant.zero_skew tree;
-  match Gsim.Invariant.zero_skew ~embed:(tampered_embed tree) tree with
+  Gcr.Verify.zero_skew tree;
+  match Gcr.Verify.zero_skew ~embed:(tampered_embed tree) tree with
   | () -> Alcotest.fail "tampered embedding accepted"
   | exception Util.Gcr_error.Error err ->
     Alcotest.(check bool) "names the invariant" true
@@ -172,7 +172,7 @@ let test_oracles_pass_on_fixed_scenario () =
 
 let buggy_check sc =
   let tree = Gcr.Flow.run ~options:sc.S.options (S.config sc) (S.profile sc) sc.S.sinks in
-  Gsim.Invariant.zero_skew ~embed:(tampered_embed tree) tree
+  Gcr.Verify.zero_skew ~embed:(tampered_embed tree) tree
 
 let test_mutation_caught_and_shrunk () =
   let out_dir =

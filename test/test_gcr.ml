@@ -702,6 +702,43 @@ let prop_activity_router_matches_dense =
         (Gcr.Activity_router.topology_dense config profile sinks);
       true)
 
+(* Profiles without a signature kernel cost each candidate by a direct
+   Profile.p of the union. A tables-only profile answers P bit for bit
+   like its kernel, so the kernel-backed oracle replays the tables-only
+   merge sequence exactly. *)
+let prop_activity_router_kernel_less =
+  QCheck.Test.make ~name:"kernel-less activity merge is per-step optimal" ~count:12
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let scn = Conformance.Scenario.generate (Util.Prng.create seed) ~tag:"tables-only" in
+      let config = Conformance.Scenario.config scn in
+      let profile = Conformance.Scenario.profile scn in
+      let sinks = scn.Conformance.Scenario.sinks in
+      Conformance.Oracles.greedy_optimal ~what:"tables-only" config profile sinks
+        (Gcr.Activity_router.topology config (Activity.Profile.tables_only profile) sinks);
+      true)
+
+let test_activity_router_analytic () =
+  let n = 24 in
+  let prng = Util.Prng.create 17 in
+  let sinks =
+    Array.init n (fun id ->
+        mk_sink id
+          (Util.Prng.range prng 0.0 1000.0)
+          (Util.Prng.range prng 0.0 1000.0)
+          (Util.Prng.range prng 5.0 50.0)
+          id)
+  in
+  let rtl =
+    Benchmarks.Workload.make_rtl ~n_modules:n ~n_instructions:10 ~usage:0.4 ~seed:4 ()
+  in
+  let analytic = Activity.Profile.of_model (Benchmarks.Workload.cpu_model rtl) in
+  let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1000.0) () in
+  let tree = Gcr.Activity_router.route config analytic sinks in
+  Gcr.Gated_tree.check_invariants tree;
+  Alcotest.(check int) "every sink routed" n
+    (Clocktree.Topo.n_sinks tree.Gcr.Gated_tree.topo)
+
 let test_activity_router_usually_worse_geometry () =
   let config, profile, sinks = setup ~n:24 () in
   let act = Gcr.Activity_router.route config profile sinks in
@@ -1264,6 +1301,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_activity_router_end_to_end;
           Alcotest.test_case "groups by activity" `Quick test_activity_router_groups_by_activity;
           qt prop_activity_router_matches_dense;
+          qt prop_activity_router_kernel_less;
+          Alcotest.test_case "analytic profile" `Quick test_activity_router_analytic;
           Alcotest.test_case "pays wirelength" `Quick test_activity_router_usually_worse_geometry;
         ] );
       ( "refine",
