@@ -1515,6 +1515,72 @@ let eco_bench () =
        (List.length report.Gcr.Eco.drifted)
        report.Gcr.Eco.resinks report.Gcr.Eco.full_rebuild)
 
+(* ------------------------------------------------------------------ *)
+(* Greedy gate reduction scaling                                       *)
+(* ------------------------------------------------------------------ *)
+
+let reduce_scaling () =
+  section "Greedy gate reduction scaling (r1, neighbourhood gain updates)";
+  let sizes = if quick () then [ 1_000 ] else [ 2_000; 4_000 ] in
+  let reps = 3 in
+  let counters = [ "reduce.removals"; "reduce.gain_updates"; "reduce.sum_terms" ] in
+  let open Util.Text_table in
+  let table =
+    create ~title:(Printf.sprintf "reduce_greedy on the routed tree (best of %d)" reps)
+      [ ("sinks", Right); ("nodes", Right); ("reduce (ms)", Right);
+        ("Mwords", Right); ("removals", Right); ("gain updates", Right);
+        ("sum terms / node", Right) ]
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:n in
+        let { Benchmarks.Suite.config; profile; sinks; _ } =
+          Benchmarks.Suite.case ~stream_length:(stream_length ()) spec
+        in
+        let tree = Gcr.Router.route config profile sinks in
+        let nodes = Clocktree.Topo.n_nodes tree.Gcr.Gated_tree.topo in
+        let best = ref infinity and words = ref 0.0 in
+        for _ = 1 to reps do
+          let a0 = Gc.allocated_bytes () in
+          let t0 = Util.Obs.Clock.now () in
+          ignore (Sys.opaque_identity (Gcr.Gate_reduction.reduce_greedy tree));
+          best := Float.min !best (Util.Obs.Clock.now () -. t0);
+          words := (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+        done;
+        (* one more pass with the probes on, read as counter deltas so a
+           traced bench run keeps its own report *)
+        let handles = List.map Util.Obs.counter counters in
+        let was = Util.Obs.enabled () in
+        Util.Obs.set_enabled true;
+        let before = List.map Util.Obs.value handles in
+        ignore (Sys.opaque_identity (Gcr.Gate_reduction.reduce_greedy tree));
+        let deltas = List.map2 (fun h b -> Util.Obs.value h - b) handles before in
+        Util.Obs.set_enabled was;
+        let count name = List.assoc name (List.combine counters deltas) in
+        add_row table
+          [
+            string_of_int n; string_of_int nodes;
+            Printf.sprintf "%.1f" (!best *. 1e3);
+            Printf.sprintf "%.2f" (!words /. 1e6);
+            string_of_int (count "reduce.removals");
+            string_of_int (count "reduce.gain_updates");
+            Printf.sprintf "%.1f"
+              (float_of_int (count "reduce.sum_terms") /. float_of_int nodes);
+          ];
+        Printf.sprintf
+          "\"%d\": {\"nodes\": %d, \"reduce_ns\": %.1f, \"words\": %.0f, \
+           \"removals\": %d, \"gain_updates\": %d, \"sum_terms\": %d}"
+          n nodes (!best *. 1e9) !words (count "reduce.removals")
+          (count "reduce.gain_updates") (count "reduce.sum_terms"))
+      sizes
+  in
+  print table;
+  pf "\nEach removal re-keys only the absorbing gate and the gates below the\n";
+  pf "moved domain, and re-sums only the absorbing domain: sum terms per\n";
+  pf "node stay flat as n doubles (the whole-tree rescan added thousands).\n";
+  record "reduce_scaling" (Printf.sprintf "{%s}" (String.concat ", " rows))
+
 (* When this process itself ran traced (GCR_TRACE=1), dump its own run
    report so CI can archive it next to BENCH_greedy.json. *)
 let dump_obs_report () =
@@ -1559,6 +1625,7 @@ let sections : (string * (unit -> unit)) list =
     ("trace-overhead", trace_overhead);
     ("serve", serve_bench);
     ("eco", eco_bench);
+    ("reduce-scaling", reduce_scaling);
     ("bechamel", run_bechamel);
   ]
 

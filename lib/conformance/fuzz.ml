@@ -55,6 +55,7 @@ let check (sc : Scenario.t) =
       Util.Gcr_error.mismatch ~stage:"Fuzz.check"
         "greedy gate reduction increased W (%.17g -> %.17g)" before after
   | Gcr.Flow.No_reduction | Gcr.Flow.Rules | Gcr.Flow.Fraction _ -> ());
+  Oracles.reduce_matches_reference routed;
   Oracles.engine_vs_dense sc;
   (match options.Gcr.Flow.shards with
   | Gcr.Flow.Flat -> ()

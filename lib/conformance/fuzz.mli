@@ -15,6 +15,8 @@ val check : Scenario.t -> unit
       [apply_sizing ∘ apply_reduction ∘ Router.route] bit-for-bit;
     - greedy reduction monotonicity — {!Gcr.Gate_reduction.reduce_greedy}
       never increases [W];
+    - {!Oracles.reduce_matches_reference} on the routed tree — the
+      greedy and count-targeted reducers pick the reference's gates;
     - {!Oracles.engine_vs_dense} and {!Oracles.domains_determinism}.
 
     Raises [Failure] (or the pipeline's own exception) on violation. *)

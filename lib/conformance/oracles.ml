@@ -426,6 +426,32 @@ let with_domains value f =
     ~finally:(fun () -> Unix.putenv "GCR_DOMAINS" (Option.value old ~default:""))
     f
 
+let kind_str = function
+  | Gcr.Gated_tree.Plain -> "plain"
+  | Gcr.Gated_tree.Buffered -> "buffered"
+  | Gcr.Gated_tree.Gated -> "gated"
+
+let reduce_matches_reference routed =
+  let same what reduced reference =
+    Array.iteri
+      (fun v k ->
+        if k <> reference.(v) then
+          fail "reduce_matches_reference" "%s: node %d is %s, reference %s" what v
+            (kind_str k) (kind_str reference.(v)))
+      (Gcr.Gated_tree.kinds_copy reduced)
+  in
+  same "reduce_greedy"
+    (Gcr.Gate_reduction.reduce_greedy routed)
+    (Reduce_reference.greedy_kinds routed);
+  let g = Gcr.Gated_tree.gate_count routed in
+  List.iter
+    (fun remove ->
+      same
+        (Printf.sprintf "reduce_count ~remove:%d" remove)
+        (Gcr.Gate_reduction.reduce_count routed ~remove)
+        (Reduce_reference.count_kinds routed ~remove))
+    (List.sort_uniq compare [ 0; g / 2; g ])
+
 let domains_determinism (sc : Scenario.t) =
   let run () =
     let profile = Scenario.profile sc in

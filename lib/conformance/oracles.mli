@@ -104,6 +104,14 @@ val eco_repair_matches_scratch : ?threshold:float -> Scenario.t -> unit
     the outlier). A root-drift full rebuild must equal the scratch route
     bit for bit ({!same_tree}). [threshold] as in {!Gcr.Eco.detect}. *)
 
+val reduce_matches_reference : Gcr.Gated_tree.t -> unit
+(** Takes a routed, fully gated tree and requires the kinds that
+    {!Gcr.Gate_reduction.reduce_greedy} and
+    {!Gcr.Gate_reduction.reduce_count} (at [remove] = 0, half the gates
+    rounded down, and all of them) assign to equal, node for node, those
+    of {!Reduce_reference}'s whole-tree passes. Exact: both sides rank
+    bit-identical gains and break ties to the lower node id. *)
+
 val domains_determinism : Scenario.t -> unit
 (** Runs the full {!Gcr.Flow.run} pipeline with [GCR_DOMAINS=1] and with
     [GCR_DOMAINS] at the domain count, and requires {!same_tree}: the

@@ -24,7 +24,7 @@ let default_thresholds =
 type work = {
   tree : Gated_tree.t;
   kinds : Gated_tree.edge_kind array;
-  mutable governing : int array;
+  governing : int array;
 }
 
 let compute_governing topo kinds =
@@ -71,19 +71,8 @@ let node_prob w v =
   if v = Clocktree.Topo.root w.tree.Gated_tree.topo then 1.0
   else prob_of_gov w w.governing.(v)
 
-(* Summed edge_cap of every edge governed by each gated node, bucketed in
-   one pass. *)
-let domain_caps w =
-  let topo = w.tree.Gated_tree.topo in
-  let sums = Array.make (Clocktree.Topo.n_nodes topo) 0.0 in
-  Clocktree.Topo.iter_bottom_up topo (fun v ->
-      if v <> Clocktree.Topo.root topo then begin
-        let g = w.governing.(v) in
-        if g <> -1 then sums.(g) <- sums.(g) +. edge_cap w v
-      end);
-  sums
-
-let removal_gain_work w domains v =
+(* [domain] is the summed edge_cap of every edge [v] governs. *)
+let removal_gain_work w domain v =
   let topo = w.tree.Gated_tree.topo in
   let parent =
     match Clocktree.Topo.parent topo v with
@@ -92,7 +81,7 @@ let removal_gain_work w domains v =
   in
   let enable = w.tree.Gated_tree.enables.(v) in
   let p_after = node_prob w parent in
-  let clock_increase = domains.(v) *. (p_after -. enable.Enable.p) in
+  let clock_increase = domain *. (p_after -. enable.Enable.p) in
   let cfg = w.tree.Gated_tree.config in
   let ctrl_len =
     Controller.wire_length cfg.Config.controller (Gated_tree.gate_location w.tree v)
@@ -106,64 +95,183 @@ let removal_gain_work w domains v =
   let parent_load_saving = (gate_cap w -. buffer_cap) *. p_after in
   clock_increase -. ctrl_saving -. parent_load_saving
 
+(* ------------------------------------------------------------------ *)
+(* Greedy removal with neighbourhood updates                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every gated node keyed by its current gain; the minimum is the gate to
+   remove next, and among bit-equal gains the lowest id. *)
+module Gains = Set.Make (struct
+  type t = float * int
+
+  let compare (ga, a) (gb, b) =
+    match Float.compare ga gb with 0 -> Int.compare a b | c -> c
+end)
+
+let removals_counter = Util.Obs.counter "reduce.removals"
+
+let gain_updates_counter = Util.Obs.counter "reduce.gain_updates"
+
+let sum_terms_counter = Util.Obs.counter "reduce.sum_terms"
+
+(* [ecap]: edge_cap of every node under the current kinds. [members]:
+   per gate, the nodes it governs in ascending id, itself included.
+   [domain]: per gate, [ecap] summed over [members] in that order.
+   [gain]: per gated node, its key in [gains]. *)
+type pass = {
+  w : work;
+  ecap : float array;
+  members : int array array;
+  domain : float array;
+  gain : float array;
+  mutable gains : Gains.t;
+  mutable removals : int;
+  mutable updates : int;
+  mutable terms : int;
+}
+
+(* The left fold from 0.0 in ascending id order: the association every
+   other sum of this domain used, so equal domains give bit-equal gains. *)
+let sum_domain p g =
+  let m = p.members.(g) in
+  let s = ref 0.0 in
+  for i = 0 to Array.length m - 1 do
+    s := !s +. p.ecap.(m.(i))
+  done;
+  p.terms <- p.terms + Array.length m;
+  p.domain.(g) <- !s
+
+let rekey p u =
+  p.gains <- Gains.remove (p.gain.(u), u) p.gains;
+  let gain = removal_gain_work p.w p.domain.(u) u in
+  p.gain.(u) <- gain;
+  p.gains <- Gains.add (gain, u) p.gains;
+  p.updates <- p.updates + 1
+
+let start tree =
+  let w = make_work tree in
+  let topo = tree.Gated_tree.topo in
+  let n = Clocktree.Topo.n_nodes topo in
+  let root = Clocktree.Topo.root topo in
+  let ecap = Array.make n 0.0 in
+  let sizes = Array.make n 0 in
+  for v = 0 to n - 1 do
+    if v <> root then begin
+      ecap.(v) <- edge_cap w v;
+      let g = w.governing.(v) in
+      if g <> -1 then sizes.(g) <- sizes.(g) + 1
+    end
+  done;
+  let members = Array.map (fun k -> Array.make k 0) sizes in
+  Array.fill sizes 0 n 0;
+  for v = 0 to n - 1 do
+    let g = w.governing.(v) in
+    if v <> root && g <> -1 then begin
+      members.(g).(sizes.(g)) <- v;
+      sizes.(g) <- sizes.(g) + 1
+    end
+  done;
+  let p =
+    {
+      w;
+      ecap;
+      members;
+      domain = Array.make n 0.0;
+      gain = Array.make n 0.0;
+      gains = Gains.empty;
+      removals = 0;
+      updates = 0;
+      terms = 0;
+    }
+  in
+  for v = 0 to n - 1 do
+    if w.kinds.(v) = Gated_tree.Gated then begin
+      sum_domain p v;
+      let gain = removal_gain_work w p.domain.(v) v in
+      p.gain.(v) <- gain;
+      p.gains <- Gains.add (gain, v) p.gains
+    end
+  done;
+  p
+
 let removal_gain tree v =
   if not (Gated_tree.is_gated tree v) then
     invalid_arg "Gate_reduction.removal_gain: edge is not gated";
-  let w = make_work tree in
-  removal_gain_work w (domain_caps w) v
+  (start tree).gain.(v)
 
-let gated_nodes w =
-  let acc = ref [] in
-  Clocktree.Topo.iter_bottom_up w.tree.Gated_tree.topo (fun v ->
-      if w.kinds.(v) = Gated_tree.Gated then acc := v :: !acc);
-  List.rev !acc
+let merge_ascending a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to na + nb - 1 do
+    if !j >= nb || (!i < na && a.(!i) < b.(!j)) then begin
+      out.(k) <- a.(!i);
+      incr i
+    end
+    else begin
+      out.(k) <- b.(!j);
+      incr j
+    end
+  done;
+  out
 
-let remove_gate w v =
+let remove_gate p v =
   (* "Removal" ties the gate's enable high: electrically the cell becomes a
      plain buffer (same drive and intrinsic delay, half the input
      capacitance), the control star wire disappears, and the masking
      coarsens to the enclosing gate. Keeping a buffer in place means the
      zero-skew balance is barely disturbed, unlike tearing the cell out. *)
+  let w = p.w in
+  let topo = w.tree.Gated_tree.topo in
+  p.gains <- Gains.remove (p.gain.(v), v) p.gains;
   w.kinds.(v) <- Gated_tree.Buffered;
-  w.governing <- compute_governing w.tree.Gated_tree.topo w.kinds
+  p.removals <- p.removals + 1;
+  let parent = Option.get (Clocktree.Topo.parent topo v) in
+  (* the parent's load now sees a buffer input instead of a gate input *)
+  if parent <> Clocktree.Topo.root topo then p.ecap.(parent) <- edge_cap w parent;
+  (* v's domain falls back to the gate governing its parent (none above
+     the topmost gates) *)
+  let g = w.governing.(parent) in
+  let moved = p.members.(v) in
+  p.members.(v) <- [||];
+  Array.iter (fun m -> w.governing.(m) <- g) moved;
+  if g <> -1 then begin
+    p.members.(g) <- merge_ascending p.members.(g) moved;
+    sum_domain p g;
+    rekey p g
+  end;
+  (* gates hanging off the moved nodes now fall back to g's probability *)
+  Array.iter
+    (fun m ->
+      match Clocktree.Topo.children topo m with
+      | None -> ()
+      | Some (a, b) ->
+        if w.kinds.(a) = Gated_tree.Gated then rekey p a;
+        if w.kinds.(b) = Gated_tree.Gated then rekey p b)
+    moved
 
-(* Remove the minimum-gain gate; [unconditional] removes even when the best
-   gain is positive. Returns false when nothing (more) should be removed. *)
-let remove_best w ~unconditional =
-  let domains = domain_caps w in
-  let best =
-    List.fold_left
-      (fun best v ->
-        let gain = removal_gain_work w domains v in
-        match best with
-        | Some (_, g) when g <= gain -> best
-        | _ -> Some (v, gain))
-      None (gated_nodes w)
-  in
-  match best with
-  | None -> false
-  | Some (v, gain) ->
-    if unconditional || gain < 0.0 then begin
-      remove_gate w v;
-      true
-    end
-    else false
-
-let finish w = Gated_tree.rebuild_with_kinds w.tree w.kinds
-
-let reduce_greedy tree =
-  let w = make_work tree in
-  let rec loop () = if remove_best w ~unconditional:false then loop () in
-  loop ();
-  finish w
-
-let reduce_count tree ~remove =
-  let w = make_work tree in
+(* Remove up to [limit] gates in ascending (gain, id) order; unless
+   [unconditional], stop at the first gate whose removal would not lower
+   the estimate. *)
+let reduce_pass tree ~unconditional ~limit =
+  let p = start tree in
   let rec loop k =
-    if k > 0 && remove_best w ~unconditional:true then loop (k - 1)
+    if k > 0 then
+      match Gains.min_elt_opt p.gains with
+      | Some (gain, v) when unconditional || gain < 0.0 ->
+        remove_gate p v;
+        loop (k - 1)
+      | _ -> ()
   in
-  loop remove;
-  finish w
+  loop limit;
+  Util.Obs.add removals_counter p.removals;
+  Util.Obs.add gain_updates_counter p.updates;
+  Util.Obs.add sum_terms_counter p.terms;
+  Gated_tree.rebuild_with_kinds tree p.w.kinds
+
+let reduce_greedy tree = reduce_pass tree ~unconditional:false ~limit:max_int
+
+let reduce_count tree ~remove = reduce_pass tree ~unconditional:true ~limit:remove
 
 let reduce_fraction tree ~fraction =
   if fraction < 0.0 || fraction > 1.0 then
@@ -257,6 +365,16 @@ let reduce_rules ?(thresholds = default_thresholds) tree =
   let topo = tree.Gated_tree.topo in
   let root = Clocktree.Topo.root topo in
   let kinds = Gated_tree.kinds_copy tree in
+  (* Every subtree's switched capacitance in one bottom-up sweep, with
+     the association of Cost.subtree_switched_cap's recursion. *)
+  let subtree = Array.make (Clocktree.Topo.n_nodes topo) 0.0 in
+  Clocktree.Topo.iter_bottom_up topo (fun v ->
+      let below =
+        match Clocktree.Topo.children topo v with
+        | None -> 0.0
+        | Some (a, b) -> subtree.(a) +. subtree.(b)
+      in
+      subtree.(v) <- Cost.edge_switched_cap tree v +. below);
   (* Rules 1-3, judged on the fully gated tree. *)
   Clocktree.Topo.iter_bottom_up topo (fun v ->
       if kinds.(v) = Gated_tree.Gated then begin
@@ -268,7 +386,7 @@ let reduce_rules ?(thresholds = default_thresholds) tree =
             if parent = root then 1.0 else tree.Gated_tree.enables.(parent).Enable.p
         in
         let rule1 = p >= thresholds.activity_high in
-        let rule2 = Cost.subtree_switched_cap tree v <= thresholds.min_switched_cap in
+        let rule2 = subtree.(v) <= thresholds.min_switched_cap in
         let rule3 = p_parent -. p <= thresholds.parent_delta in
         if rule1 || rule2 || rule3 then kinds.(v) <- Gated_tree.Buffered
       end);

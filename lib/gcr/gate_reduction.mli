@@ -53,16 +53,49 @@ val removal_gain : Gated_tree.t -> int -> float
 
 val reduce_rules : ?thresholds:thresholds -> Gated_tree.t -> Gated_tree.t
 (** The paper's pass: apply the three removal rules on the fully gated
-    tree, then the forced-insertion sweep, then re-embed. *)
+    tree, then the forced-insertion sweep, then re-embed. Rule 2 reads
+    every subtree's switched capacitance from one bottom-up sweep that
+    adds [edge + (left + right)] exactly as {!Cost.subtree_switched_cap}'s
+    recursion does, so the pass is O(n) and its sums are bit-identical
+    to the per-node recursion. *)
+
+(** {2 Greedy removal}
+
+    {!reduce_greedy} and {!reduce_count} share one pass. It builds its
+    work state once: per gate, the nodes it governs in ascending id and
+    their summed edge capacitance, and every gate's {!removal_gain} in an
+    ordered set keyed [(gain, id)]. The next removal is the set's
+    minimum, so among bit-equal gains the lower node id goes first (a
+    scan in ascending id keeping the first minimum picks the same gate).
+
+    Removing gate [v], whose parent is governed by gate [g], touches only
+    its neighbourhood: [v]'s domain moves into [g]'s, the parent's load
+    swaps the gate input for a buffer input, [g]'s domain is re-summed,
+    and [g] plus the gates whose parent lay in [v]'s domain (their
+    fallback probability moved) are re-keyed. The re-sum is a left fold
+    from [0.] over the merged members in ascending id, the association a
+    whole-tree bucketed sum uses; a running [+.] update would
+    re-associate, change gains in the last bits and could reorder
+    near-ties. Cost per removal is the absorbing domain's size plus
+    O(log n) per re-keyed gate; on the r-benchmarks and r1 scaled to
+    4000 sinks the pass adds 8-30 edge capacitances per tree node in
+    all (the [reduce.sum_terms] Obs counter), against O(n) per removal
+    for a whole-tree rescan.
+
+    Obs counters: [reduce.removals] (gates demoted),
+    [reduce.gain_updates] (re-keys after a removal) and
+    [reduce.sum_terms] (edge capacitances added while summing domains,
+    the initial sums included). *)
 
 val reduce_greedy : Gated_tree.t -> Gated_tree.t
 (** Remove gates one at a time, always the one with the most negative
-    {!removal_gain}, until no removal lowers [W]; then re-embed. *)
+    {!removal_gain} (lower id on ties), until no removal lowers [W]; then
+    re-embed. *)
 
 val reduce_count : Gated_tree.t -> remove:int -> Gated_tree.t
 (** Remove exactly [remove] gates (or all of them if fewer exist) in
-    ascending-gain order, regardless of sign; then re-embed. The knob
-    behind the paper's "gate reduction %" sweeps. *)
+    ascending [(gain, id)] order, regardless of sign; then re-embed. The
+    knob behind the paper's "gate reduction %" sweeps. *)
 
 val reduce_fraction : Gated_tree.t -> fraction:float -> Gated_tree.t
 (** [reduce_fraction t ~fraction] removes [fraction] (in [0..1]) of the

@@ -274,6 +274,135 @@ let test_eco_repair_beats_outlier_scratch () =
   | None -> ()
   | Some msg -> Alcotest.fail msg
 
+(* ------------------------------------------------------------------ *)
+(* Gate reduction vs. the whole-tree reference reducer                 *)
+(* ------------------------------------------------------------------ *)
+
+let routed_case ?n name =
+  let spec = Benchmarks.Rbench.by_name name in
+  let spec =
+    match n with
+    | None -> spec
+    | Some n_sinks -> Benchmarks.Rbench.scaled spec ~n_sinks
+  in
+  let c = Benchmarks.Suite.case spec in
+  Gcr.Router.route c.Benchmarks.Suite.config c.Benchmarks.Suite.profile
+    c.Benchmarks.Suite.sinks
+
+let check_kinds what expected actual =
+  Array.iteri
+    (fun v k ->
+      if k <> actual.(v) then
+        Alcotest.failf "%s: node %d differs from the reference" what v)
+    expected
+
+let test_reduce_matches_reference_rbench () =
+  List.iter
+    (fun name -> Conformance.Oracles.reduce_matches_reference (routed_case name))
+    [ "r1"; "r2"; "r3" ]
+
+let test_reduce_fraction_matches_reference () =
+  let tree = routed_case ~n:600 "r1" in
+  let g = Gcr.Gated_tree.gate_count tree in
+  List.iter
+    (fun fraction ->
+      let remove = int_of_float (Float.round (fraction *. float_of_int g)) in
+      check_kinds
+        (Printf.sprintf "reduce_fraction %.2f" fraction)
+        (Conformance.Reduce_reference.count_kinds tree ~remove)
+        (Gcr.Gated_tree.kinds_copy
+           (Gcr.Gate_reduction.reduce_fraction tree ~fraction)))
+    [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
+
+(* Four sinks mirrored about the controller at the die centre, each in
+   its own module, under a stream whose mirror image is its reversal: the
+   two halves have equal probabilities, toggle rates, edge lengths and
+   star wires, so mirrored gates have bit-equal removal gains. *)
+let test_reduce_tie_goes_to_lower_id () =
+  let sink id x =
+    Clocktree.Sink.make ~id ~loc:(Geometry.Point.make x 500.0) ~cap:10.0 ~module_id:id
+  in
+  let sinks = [| sink 0 400.0; sink 1 450.0; sink 2 550.0; sink 3 600.0 |] in
+  let rtl = Activity.Rtl.of_lists ~n_modules:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
+  let stream =
+    Activity.Instr_stream.make rtl (Array.init 40 (fun i -> i mod 4))
+  in
+  let profile = Activity.Profile.of_stream stream in
+  let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1000.0) () in
+  let topo = Clocktree.Topo.of_merges ~n_sinks:4 [| (0, 1); (2, 3); (4, 5) |] in
+  let tree =
+    Gcr.Gated_tree.build config profile sinks topo ~kind:(fun _ -> Gcr.Gated_tree.Gated)
+  in
+  let gated = List.filter (Gcr.Gated_tree.is_gated tree) [ 0; 1; 2; 3; 4; 5 ] in
+  let gains = List.map (fun v -> (v, Gcr.Gate_reduction.removal_gain tree v)) gated in
+  let best = List.fold_left (fun m (_, g) -> Float.min m g) infinity gains in
+  let tied =
+    List.filter_map
+      (fun (v, g) ->
+        if Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float best) then Some v
+        else None)
+      gains
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the minimum gain %.17g is shared by %d gates" best
+       (List.length tied))
+    true
+    (List.length tied >= 2);
+  let first = List.fold_left Int.min max_int tied in
+  let reduced = Gcr.Gate_reduction.reduce_count tree ~remove:1 in
+  Alcotest.(check bool) "the lower id is demoted" false
+    (Gcr.Gated_tree.is_gated reduced first);
+  List.iter
+    (fun v ->
+      if v <> first then
+        Alcotest.(check bool)
+          (Printf.sprintf "gate %d kept" v)
+          true
+          (Gcr.Gated_tree.is_gated reduced v))
+    gated;
+  check_kinds "reduce_count ~remove:1"
+    (Conformance.Reduce_reference.count_kinds tree ~remove:1)
+    (Gcr.Gated_tree.kinds_copy reduced);
+  Conformance.Oracles.reduce_matches_reference tree
+
+let test_rules_match_recursive_reference () =
+  let grouped =
+    let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:2000 in
+    let c = Benchmarks.Suite.case_grouped spec in
+    Gcr.Router.route c.Benchmarks.Suite.config c.Benchmarks.Suite.profile
+      c.Benchmarks.Suite.sinks
+  in
+  List.iter
+    (fun (what, tree) ->
+      check_kinds ("reduce_rules " ^ what)
+        (Conformance.Reduce_reference.rules_kinds tree)
+        (Gcr.Gated_tree.kinds_copy (Gcr.Gate_reduction.reduce_rules tree)))
+    [
+      ("r1", routed_case "r1");
+      ("r2", routed_case "r2");
+      ("r3", routed_case "r3");
+      ("r1 grouped at 2000", grouped);
+    ]
+
+(* Each removal re-sums only the absorbing domain, so the edge caps added
+   per tree node stay flat as n doubles (15-22 on these trees; the
+   whole-tree reference adds thousands per node). *)
+let test_reduce_sum_terms_linear () =
+  List.iter
+    (fun n ->
+      let tree = routed_case ~n "r1" in
+      let _, report = Util.Obs.run (fun () -> Gcr.Gate_reduction.reduce_greedy tree) in
+      let terms =
+        Option.value ~default:0 (List.assoc_opt "reduce.sum_terms" report.Util.Obs.counters)
+      in
+      let nodes = Clocktree.Topo.n_nodes tree.Gcr.Gated_tree.topo in
+      let per_node = float_of_int terms /. float_of_int nodes in
+      Alcotest.(check bool)
+        (Printf.sprintf "r1 at %d: %.1f sum terms per node <= 48" n per_node)
+        true
+        (terms > 0 && per_node <= 48.0))
+    [ 1000; 2000 ]
+
 let () =
   Alcotest.run "conformance"
     [
@@ -302,5 +431,18 @@ let () =
             test_oracles_pass_on_fixed_scenario;
           Alcotest.test_case "eco repair beats an outlier scratch route" `Quick
             test_eco_repair_beats_outlier_scratch;
+        ] );
+      ( "reduce reference",
+        [
+          Alcotest.test_case "greedy and count on r1-r3" `Quick
+            test_reduce_matches_reference_rbench;
+          Alcotest.test_case "fraction sweep on r1 at 600" `Quick
+            test_reduce_fraction_matches_reference;
+          Alcotest.test_case "bit-equal gains go to the lower id" `Quick
+            test_reduce_tie_goes_to_lower_id;
+          Alcotest.test_case "rules equal the recursive reference" `Quick
+            test_rules_match_recursive_reference;
+          Alcotest.test_case "sum terms per node stay flat" `Quick
+            test_reduce_sum_terms_linear;
         ] );
     ]
