@@ -7,12 +7,16 @@
    trajectory row and fails when any shared timing metric slowed down by
    more than a threshold.
 
-   Only keys ending in ["_ns"] participate: those are per-query
+   Two kinds of keys participate. Keys ending in ["_ns"] are per-query
    nanosecond figures, directly comparable across runs of the same
    geometry (CI compares quick runs against quick baselines — the
-   ["quick"] flags of both documents must agree). Counters, sizes and
-   list-valued fragments (per-point scaling curves) are ignored; their
-   shape changes legitimately PR to PR.
+   ["quick"] flags of both documents must agree); they gate at the
+   caller's threshold (15 % by default), since wall time moves with the
+   host. Keys named ["words"] are words allocated by a deterministic
+   computation, which do not depend on the host at all; they gate at
+   {!words_threshold}. Other counters, sizes and list-valued fragments
+   (per-point scaling curves) are ignored; their shape changes
+   legitimately PR to PR.
 
    A metric present in the baseline but missing from the candidate also
    fails the gate — a deleted benchmark silently un-gates its kernel. *)
@@ -27,8 +31,18 @@ let is_ns_key k =
   let n = String.length k in
   n > 3 && String.sub k (n - 3) 3 = "_ns"
 
+let is_words_key k = k = "words"
+
+let words_threshold = 0.02
+
+(* The dotted path's last component decides a metric's threshold. *)
+let is_words_path path =
+  match String.rindex_opt path '.' with
+  | Some i -> is_words_key (String.sub path (i + 1) (String.length path - i - 1))
+  | None -> is_words_key path
+
 (* Flatten nested objects to dotted paths ("kernel_micro.sig_p_ns"),
-   keeping numeric [_ns] leaves. Lists are skipped: their elements have
+   keeping numeric [_ns] and [words] leaves. Lists are skipped: their elements have
    no stable identity across runs. *)
 let metrics_of_doc doc =
   let out = ref [] in
@@ -38,7 +52,8 @@ let metrics_of_doc doc =
         (fun (k, v) ->
           let path = if prefix = "" then k else prefix ^ "." ^ k in
           match v with
-          | Json.Num x when is_ns_key k -> out := (path, x) :: !out
+          | Json.Num x when is_ns_key k || is_words_key k ->
+            out := (path, x) :: !out
           | _ -> walk path v)
         fields
     | _ -> ()
@@ -66,6 +81,7 @@ let check ~threshold ~baseline ~candidate =
         incr compared;
         (* base <= 0 would make the ratio meaningless; only positive
            baselines can regress. *)
+        let threshold = if is_words_path key then words_threshold else threshold in
         if base > 0.0 && cand > base *. (1.0 +. threshold) then
           regressions := (key, base, cand) :: !regressions)
     baseline;

@@ -1,8 +1,9 @@
 (* compare — CI perf-regression gate driver.
 
    compare check  TRAJECTORY.jsonl CANDIDATE.json [THRESHOLD]
-     Compare the candidate's *_ns metrics against the last trajectory
-     row. Exit 0 when within threshold (default 0.15 = +15%), 1 on any
+     Compare the candidate's *_ns and words metrics against the last
+     trajectory row. Exit 0 when every *_ns metric is within threshold
+     (default 0.15 = +15%) and every words metric within +2%, 1 on any
      regression or vanished metric, 65 on unreadable/invalid input.
      An empty or absent trajectory passes vacuously (first PR).
 
@@ -61,8 +62,10 @@ let check trajectory candidate threshold =
       | Some (Json.Str s) -> s
       | _ -> "<unlabelled>"
     in
-    Printf.printf "compare: %d metric(s) vs baseline %S, threshold +%.0f%%\n"
-      v.compared label (threshold *. 100.0);
+    Printf.printf
+      "compare: %d metric(s) vs baseline %S, threshold +%.0f%% (words +%.0f%%)\n"
+      v.compared label (threshold *. 100.0)
+      (Bench_compare.words_threshold *. 100.0);
     List.iter
       (fun (k, b, c) ->
         Printf.printf "  REGRESSION %s: %.12g -> %.12g (%+.1f%%)\n" k b c
@@ -83,7 +86,7 @@ let append trajectory candidate label =
   let doc = parse_doc candidate in
   let metrics = Bench_compare.metrics_of_doc doc in
   if metrics = [] then begin
-    Printf.eprintf "compare: %s holds no *_ns metrics; refusing to append\n"
+    Printf.eprintf "compare: %s holds no *_ns or words metrics; refusing to append\n"
       candidate;
     exit 65
   end;

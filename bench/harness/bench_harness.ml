@@ -1519,6 +1519,34 @@ let eco_bench () =
 (* Greedy gate reduction scaling                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Best wall time of [reps] runs of [f] and the words the last one
+   allocated, then the deltas of [counters] over one more run with the
+   probes on (read as deltas so a traced bench run keeps its own
+   report). Words are minor-heap words: the same count on every run and
+   every host, which the perf gate holds to 2 %. [Gc.allocated_bytes]
+   also adds major_words - promoted_words, and in OCaml 5 that
+   difference moves with GC timing: identical reps read up to 3 % apart,
+   and the same pass read 11 % higher after other sections ran. Only
+   the rare block above 256 words, allocated directly in the major
+   heap, goes uncounted. *)
+let scaling_run ~reps ~counters f =
+  let best = ref infinity and words = ref 0.0 in
+  for _ = 1 to reps do
+    let a0 = Gc.minor_words () in
+    let t0 = Util.Obs.Clock.now () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Util.Obs.Clock.now () -. t0);
+    words := Gc.minor_words () -. a0
+  done;
+  let handles = List.map Util.Obs.counter counters in
+  let was = Util.Obs.enabled () in
+  Util.Obs.set_enabled true;
+  let before = List.map Util.Obs.value handles in
+  ignore (Sys.opaque_identity (f ()));
+  let deltas = List.map2 (fun h b -> Util.Obs.value h - b) handles before in
+  Util.Obs.set_enabled was;
+  (!best, !words, fun name -> List.assoc name (List.combine counters deltas))
+
 let reduce_scaling () =
   section "Greedy gate reduction scaling (r1, neighbourhood gain updates)";
   let sizes = if quick () then [ 1_000 ] else [ 2_000; 4_000 ] in
@@ -1540,29 +1568,14 @@ let reduce_scaling () =
         in
         let tree = Gcr.Router.route config profile sinks in
         let nodes = Clocktree.Topo.n_nodes tree.Gcr.Gated_tree.topo in
-        let best = ref infinity and words = ref 0.0 in
-        for _ = 1 to reps do
-          let a0 = Gc.allocated_bytes () in
-          let t0 = Util.Obs.Clock.now () in
-          ignore (Sys.opaque_identity (Gcr.Gate_reduction.reduce_greedy tree));
-          best := Float.min !best (Util.Obs.Clock.now () -. t0);
-          words := (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
-        done;
-        (* one more pass with the probes on, read as counter deltas so a
-           traced bench run keeps its own report *)
-        let handles = List.map Util.Obs.counter counters in
-        let was = Util.Obs.enabled () in
-        Util.Obs.set_enabled true;
-        let before = List.map Util.Obs.value handles in
-        ignore (Sys.opaque_identity (Gcr.Gate_reduction.reduce_greedy tree));
-        let deltas = List.map2 (fun h b -> Util.Obs.value h - b) handles before in
-        Util.Obs.set_enabled was;
-        let count name = List.assoc name (List.combine counters deltas) in
+        let best, words, count =
+          scaling_run ~reps ~counters (fun () -> Gcr.Gate_reduction.reduce_greedy tree)
+        in
         add_row table
           [
             string_of_int n; string_of_int nodes;
-            Printf.sprintf "%.1f" (!best *. 1e3);
-            Printf.sprintf "%.2f" (!words /. 1e6);
+            Printf.sprintf "%.1f" (best *. 1e3);
+            Printf.sprintf "%.2f" (words /. 1e6);
             string_of_int (count "reduce.removals");
             string_of_int (count "reduce.gain_updates");
             Printf.sprintf "%.1f"
@@ -1571,7 +1584,7 @@ let reduce_scaling () =
         Printf.sprintf
           "\"%d\": {\"nodes\": %d, \"reduce_ns\": %.1f, \"words\": %.0f, \
            \"removals\": %d, \"gain_updates\": %d, \"sum_terms\": %d}"
-          n nodes (!best *. 1e9) !words (count "reduce.removals")
+          n nodes (best *. 1e9) words (count "reduce.removals")
           (count "reduce.gain_updates") (count "reduce.sum_terms"))
       sizes
   in
@@ -1580,6 +1593,61 @@ let reduce_scaling () =
   pf "moved domain, and re-sums only the absorbing domain: sum terms per\n";
   pf "node stay flat as n doubles (the whole-tree rescan added thousands).\n";
   record "reduce_scaling" (Printf.sprintf "{%s}" (String.concat ", " rows))
+
+(* ------------------------------------------------------------------ *)
+(* Eq. (3) merge scaling                                               *)
+(* ------------------------------------------------------------------ *)
+
+let merge_scaling () =
+  section "Eq. (3) merge scaling (r1, spatial cost-distance index)";
+  let sizes = if quick () then [ 1_000 ] else [ 2_000; 4_000 ] in
+  let reps = 3 in
+  let counters =
+    [ "greedy.queries"; "greedy.cost_evals"; "greedy.bound_evals"; "greedy.cells_visited" ]
+  in
+  let open Util.Text_table in
+  let table =
+    create
+      ~title:(Printf.sprintf "Router.route_topology_only (best of %d)" reps)
+      [ ("sinks", Right); ("merge (ms)", Right); ("Mwords", Right);
+        ("queries", Right); ("costs / query", Right); ("bounds / query", Right);
+        ("cells / query", Right) ]
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:n in
+        let { Benchmarks.Suite.config; profile; sinks; _ } =
+          Benchmarks.Suite.case ~stream_length:(stream_length ()) spec
+        in
+        let best, words, count =
+          scaling_run ~reps ~counters (fun () ->
+              Gcr.Router.route_topology_only config profile sinks)
+        in
+        let per name = float_of_int (count name) /. float_of_int (count "greedy.queries") in
+        add_row table
+          [
+            string_of_int n;
+            Printf.sprintf "%.1f" (best *. 1e3);
+            Printf.sprintf "%.2f" (words /. 1e6);
+            string_of_int (count "greedy.queries");
+            Printf.sprintf "%.1f" (per "greedy.cost_evals");
+            Printf.sprintf "%.1f" (per "greedy.bound_evals");
+            Printf.sprintf "%.1f" (per "greedy.cells_visited");
+          ];
+        Printf.sprintf
+          "\"%d\": {\"merge_ns\": %.1f, \"words\": %.0f, \"queries\": %d, \
+           \"cost_evals\": %d, \"bound_evals\": %d, \"cells_visited\": %d}"
+          n (best *. 1e9) words (count "greedy.queries")
+          (count "greedy.cost_evals") (count "greedy.bound_evals")
+          (count "greedy.cells_visited"))
+      sizes
+  in
+  print table;
+  pf "\nEach query walks the pyramid best-first under the cost-distance bound\n";
+  pf "K(q) + K(u) + c*min(P_q,P_u)*d and costs only partners whose own bound\n";
+  pf "passes: costs and cells per query stay flat as n doubles.\n";
+  record "merge_scaling" (Printf.sprintf "{%s}" (String.concat ", " rows))
 
 (* When this process itself ran traced (GCR_TRACE=1), dump its own run
    report so CI can archive it next to BENCH_greedy.json. *)
@@ -1626,6 +1694,7 @@ let sections : (string * (unit -> unit)) list =
     ("serve", serve_bench);
     ("eco", eco_bench);
     ("reduce-scaling", reduce_scaling);
+    ("merge-scaling", merge_scaling);
     ("bechamel", run_bechamel);
   ]
 

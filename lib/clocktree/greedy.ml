@@ -21,6 +21,13 @@ let heap_pops = Util.Obs.counter "greedy.heap_pops"
 
 let stale_discards = Util.Obs.counter "greedy.stale_discards"
 
+(* Work per query: queries are the seedings plus one per merge and one
+   per stale-partner revalidation; cost_evals / queries is what a
+   candidate source spends to answer one. *)
+let queries = Util.Obs.counter "greedy.queries"
+
+let cost_evals = Util.Obs.counter "greedy.cost_evals"
+
 (* ------------------------------------------------------------------ *)
 (* Pluggable candidate sources                                        *)
 (* ------------------------------------------------------------------ *)
@@ -31,6 +38,7 @@ type view = {
   cost_many : int -> int array -> int -> float array -> unit;
   is_active : int -> bool;
   iter_active : (int -> unit) -> unit;
+  rank : int -> int;
 }
 
 (* Candidate partners are gathered into a fixed-size buffer and costed
@@ -205,9 +213,13 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
     let n_active = ref n in
     let cost_many =
       match cost_many with
-      | Some f -> f
+      | Some f ->
+        fun v us cnt out ->
+          Util.Obs.add cost_evals cnt;
+          f v us cnt out
       | None ->
         fun v us cnt out ->
+          Util.Obs.add cost_evals cnt;
           for i = 0 to cnt - 1 do
             out.(i) <- cost v us.(i)
           done
@@ -215,7 +227,10 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
     let view =
       {
         n;
-        cost;
+        cost =
+          (fun a b ->
+            Util.Obs.incr cost_evals;
+            cost a b);
         cost_many;
         is_active = (fun v -> v >= 0 && v < size && alive.(v));
         iter_active =
@@ -223,11 +238,13 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
             for i = 0 to !n_active - 1 do
               f active.(i)
             done);
+        rank = (fun v -> pos.(v));
       }
     in
     let cands = source view in
     let heap = Util.Bin_heap.create ~capacity:(2 * n) () in
     let push_best v =
+      Util.Obs.incr queries;
       match cands.best v with
       | None -> ()
       | Some (u, c) -> Util.Bin_heap.push heap c (pack v u)
@@ -236,6 +253,7 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
        par_seed they run across domains, but the heap pushes stay in id
        order so the run is bit-identical to the sequential one. *)
     if par_seed then begin
+      Util.Obs.add queries n;
       let bests = Util.Parallel.init n (fun v -> cands.best v) in
       Array.iteri
         (fun v b ->
@@ -322,7 +340,10 @@ let merge_all_dense ~n ~cost ~merge =
     let pos = Array.init size (fun v -> v) in
     let n_active = ref n in
     let heap = Util.Bin_heap.create ~capacity:(n * n / 2) () in
-    let push_pair a b = Util.Bin_heap.push heap (cost a b) (pack a b) in
+    let push_pair a b =
+      Util.Obs.incr cost_evals;
+      Util.Bin_heap.push heap (cost a b) (pack a b)
+    in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         push_pair i j

@@ -11,15 +11,24 @@
     been consumed. Candidate generation is pluggable: the default
     {!scan} source recomputes a root's best partner by scanning the
     active set (O(n) per query, O(n^2) total cost evaluations but O(n)
-    heap memory); a spatial source (see {!Spatial} and {!Nn}) answers the
-    query from a grid index, bringing geometric topology construction to
-    ~O(n log n). The original all-pairs seeding survives as
-    {!merge_all_dense}, the reference oracle the accelerated paths are
-    validated against. *)
+    heap memory); a spatial source answers the query from a grid index
+    ({!Spatial.nearest} for the geometric cost of {!Nn},
+    {!Spatial.cheapest} for the paper's Eq. (3) in [Gcr.Router]),
+    bringing topology construction to ~O(n log n). The original
+    all-pairs seeding survives as {!merge_all_dense}, the reference
+    oracle the accelerated paths are validated against.
+
+    Obs counters: [greedy.queries] (best-partner queries: seedings,
+    one per merge, one per stale revalidation), [greedy.cost_evals]
+    (every cost evaluation, scalar or batched), [greedy.heap_pops],
+    [greedy.merge_steps], [greedy.stale_discards]. *)
 
 type view = {
   n : int;  (** initial element count; merged ids are [n], [n+1], ... *)
-  cost : int -> int -> float;  (** the engine's symmetric cost function *)
+  cost : int -> int -> float;
+      (** the engine's cost function; sources call [cost v u] with the
+          querying root [v] first, as {!scan} does, since a cost may be
+          symmetric only up to rounding *)
   cost_many : int -> int array -> int -> float array -> unit;
       (** [cost_many v us cnt out] fills [out.(i)] with [cost v us.(i)]
           for [i < cnt] — the batched form sources should prefer when
@@ -28,7 +37,13 @@ type view = {
           per chunk instead of [cnt] scalar calls. Always agrees with
           [cost] bit-for-bit. *)
   is_active : int -> bool;
-  iter_active : (int -> unit) -> unit;  (** visit every active root *)
+  iter_active : (int -> unit) -> unit;
+      (** visit every active root, in active order *)
+  rank : int -> int;
+      (** an active root's current position in active order (what
+          [iter_active] visits first has rank 0). A source that must
+          return the first minimum a scan would keep breaks exact cost
+          ties to the smaller rank. *)
 }
 (** What the engine exposes to a candidate source. *)
 
@@ -82,8 +97,8 @@ val merge_all_with :
     [0..n-1]. [merge a b] must consume both arguments and return a fresh
     id, denser ids first: the engine requires ids to be allocated
     consecutively ([n], [n+1], ...). Returns the final surviving id.
-    [cost] must be symmetric and stable (two fixed ids always cost the
-    same). Merge decisions are identical to {!merge_all_dense} up to
+    [cost] must be symmetric up to rounding and stable (two fixed ids
+    in a fixed order always cost the same). Merge decisions are identical to {!merge_all_dense} up to
     ties. Raises [Invalid_argument] when [n <= 0] or exceeds the 2^20 id
     budget.
 

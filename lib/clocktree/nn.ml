@@ -1,23 +1,6 @@
-(* Cell side for the grid: the sink cloud's rotated span divided by
-   sqrt n puts O(1) sinks per cell at constant density. *)
-let cell_for sinks =
-  let n = Array.length sinks in
-  let ulo = ref infinity and uhi = ref neg_infinity in
-  let vlo = ref infinity and vhi = ref neg_infinity in
-  Array.iter
-    (fun s ->
-      let r = Geometry.Rot.of_point s.Sink.loc in
-      if r.Geometry.Rot.u < !ulo then ulo := r.Geometry.Rot.u;
-      if r.Geometry.Rot.u > !uhi then uhi := r.Geometry.Rot.u;
-      if r.Geometry.Rot.v < !vlo then vlo := r.Geometry.Rot.v;
-      if r.Geometry.Rot.v > !vhi then vhi := r.Geometry.Rot.v)
-    sinks;
-  let span = Float.max (!uhi -. !ulo) (!vhi -. !vlo) in
-  Float.max (span /. sqrt (float_of_int (max n 1))) 1e-3
-
 let spatial_source grow sinks (view : Greedy.view) =
   let n = view.Greedy.n in
-  let idx = Spatial.create ~capacity:((2 * n) - 1) ~cell:(cell_for sinks) () in
+  let idx = Spatial.for_sinks ~capacity:((2 * n) - 1) sinks in
   for v = 0 to n - 1 do
     Spatial.insert idx v (Grow.region grow v)
   done;

@@ -1,29 +1,48 @@
-(** Uniform-grid spatial index over merging-region centers.
+(** Uniform-grid spatial index over merging regions.
 
     The greedy merge needs, for an active root, its minimum-cost partner.
-    When the cost is the merging-region distance ({!Grow.dist}, an L-inf
-    gap in the rotated plane), candidates can be enumerated in expanding
-    rings of grid cells around the query and the search cut off once no
-    unvisited cell can possibly beat the best candidate found — turning
-    the O(n) scan per query into a near-O(1) neighborhood probe on
-    realistic sink placements.
+    Two queries answer that from the grid instead of a scan of the
+    active set:
 
-    The grid is unbounded (cells live in a hash table keyed by integer
-    cell coordinates), so regions inflated beyond the initial sink hull by
-    wire snaking are handled without any loss of exactness. *)
+    - {!nearest}, for a purely geometric cost ({!Grow.dist}, an L-inf gap
+      in the rotated plane), enumerates expanding rings of cells around
+      the query and stops once no unvisited cell can beat the best
+      candidate — the nearest-neighbour topology's source.
+    - {!cheapest}, for a cost-distance cost such as the paper's Eq. (3),
+      walks a quadtree pyramid built over the cells best-first. Every
+      cell and every block of 2^l x 2^l cells keeps the minimum [K] and
+      minimum [P] of the ids below it and the bounding box of their
+      regions (which the cell inflated by its largest region half-extent
+      would only over-approximate). The walk stops once no unvisited
+      block can beat the best cost found, up to a relative 1e-9, and
+      costs a candidate only after its own lower bound passes.
+
+    The grid is unbounded (leaves are found through a hash table keyed by
+    integer cell coordinates, and the pyramid's root grows upward), so
+    regions inflated beyond the initial sink hull by wire snaking are
+    handled without any loss of exactness. An index is mutable query
+    state: query it from one thread at a time. *)
 
 type t
 
 val create : capacity:int -> cell:float -> unit -> t
 (** [create ~capacity ~cell ()] indexes ids in [0..capacity-1] with grid
-    cells of side [cell] (rotated coordinates). A good [cell] is the sink
-    cloud's span divided by [sqrt n]. Raises [Invalid_argument] on a
-    non-positive capacity or cell. *)
+    cells of side [cell] (rotated coordinates). Raises
+    [Invalid_argument] on a non-positive capacity or cell. *)
 
-val insert : t -> int -> Geometry.Rect.t -> unit
-(** Index a region under the given id: stores its center and L-inf
-    half-extent. Raises [Invalid_argument] if the id is out of range or
-    already present. *)
+val for_sinks : capacity:int -> Sink.t array -> t
+(** An index for merging the given sinks: cells of side the sink cloud's
+    rotated span divided by [sqrt n] (at least 1e-3), O(1) sinks per cell
+    at constant density, and the pyramid aligned on the cloud so that its
+    depth is about [log2 (sqrt n)]. Raises [Invalid_argument] on a
+    non-positive capacity. *)
+
+val insert : ?k:float -> ?p:float -> t -> int -> Geometry.Rect.t -> unit
+(** Index a region under the given id: stores the region, its center and
+    L-inf half-extent, and the id's weights [k] and [p] (default 0; only
+    {!cheapest} reads them). Raises [Invalid_argument] if the id is out of
+    range or already present, or if the region's center lies some 2^24
+    cells away from the cloud the index was made for. *)
 
 val remove : t -> int -> unit
 (** Raises [Invalid_argument] if the id is not present. *)
@@ -45,3 +64,31 @@ val nearest : t -> int -> dist:(int -> float) -> (int * float) option
     time and [max_half] is the largest half-extent ever inserted.
     {!Grow.dist} (= [Rect.distance] of the indexed regions) satisfies
     this. Raises [Invalid_argument] if [id] is not present. *)
+
+val cheapest :
+  t ->
+  int ->
+  below:int ->
+  c:float ->
+  dist:(int -> float) ->
+  cost:(int -> float) ->
+  rank:(int -> int) ->
+  (int * float) option
+(** [cheapest t q ~below ~c ~dist ~cost ~rank] returns, among the present
+    ids [u < below], the one minimizing [cost u], ties going to the
+    smallest [rank u], with that cost; [None] when there is no such id.
+    That is exactly the answer of a scan that visits the ids in
+    ascending [rank] and keeps the first strict minimum.
+
+    Exactness contract, with [K] and [P] the weights registered at insert
+    time: every [cost u] must satisfy
+    [lb u <= cost u * (1 + 1e-9)] where
+    [lb u = K q + K u + c * min (P q) (P u) * dist u], all of [K], [P],
+    [c] and [dist] are non-negative, and [dist u] is at least the
+    {!Geometry.Rect.distance} of the two registered regions ({!Grow.dist}
+    of the indexed forest is exactly that). Every [u] whose [lb u]
+    exceeds the best cost found (times 1 + 1e-9) is never costed.
+
+    Obs: [greedy.cells_visited] counts the pyramid nodes the walk
+    expands, [greedy.bound_evals] the per-id bounds it evaluates. Raises
+    [Invalid_argument] if [q] is not present. *)

@@ -56,6 +56,7 @@ let check (sc : Scenario.t) =
         "greedy gate reduction increased W (%.17g -> %.17g)" before after
   | Gcr.Flow.No_reduction | Gcr.Flow.Rules | Gcr.Flow.Fraction _ -> ());
   Oracles.reduce_matches_reference routed;
+  Oracles.router_matches_scan config profile sc.Scenario.sinks;
   Oracles.engine_vs_dense sc;
   (match options.Gcr.Flow.shards with
   | Gcr.Flow.Flat -> ()

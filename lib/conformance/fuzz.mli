@@ -17,6 +17,8 @@ val check : Scenario.t -> unit
       never increases [W];
     - {!Oracles.reduce_matches_reference} on the routed tree — the
       greedy and count-targeted reducers pick the reference's gates;
+    - {!Oracles.router_matches_scan} — the flat router's spatial index
+      merges exactly as the exhaustive scan;
     - {!Oracles.engine_vs_dense} and {!Oracles.domains_determinism}.
 
     Raises [Failure] (or the pipeline's own exception) on violation. *)

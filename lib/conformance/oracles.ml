@@ -271,6 +271,28 @@ let sharded_regions_optimal ?shards (config : Gcr.Config.t) profile sinks =
       end)
     plan.Gcr.Shard_router.region_sinks
 
+(* The flat router answers each Eq. (3) query from the spatial index;
+   the scan source costs every partner. Both own partners u < q, call
+   [cost q u] in that order and keep the first minimum in active order,
+   so the merge lists must be equal — not just tie-equivalent. *)
+let router_matches_scan (config : Gcr.Config.t) profile sinks =
+  let routed = Gcr.Router.forest config profile sinks in
+  Gcr.Router.run routed;
+  let scanned = Gcr.Router.forest config profile sinks in
+  ignore
+    (Clocktree.Greedy.merge_all ~n:(Array.length sinks)
+       ~cost:(Gcr.Router.cost scanned) ~merge:(Gcr.Router.merge scanned)
+      : int);
+  let a = Clocktree.Grow.merges (Gcr.Router.grow routed) in
+  let b = Clocktree.Grow.merges (Gcr.Router.grow scanned) in
+  Array.iteri
+    (fun step (x, y) ->
+      let u, v = b.(step) in
+      if x <> u || y <> v then
+        fail "router_matches_scan"
+          "merge %d: the index chose (%d, %d), the scan (%d, %d)" step x y u v)
+    a
+
 let engine_vs_dense (sc : Scenario.t) =
   let config = Scenario.config sc in
   let profile = Scenario.profile sc in

@@ -61,6 +61,14 @@ val sharded_regions_optimal :
     stitch above the regions trades optimality for scaling by design and
     is not asserted). [shards] as in {!Gcr.Shard_router.plan}. *)
 
+val router_matches_scan :
+  Gcr.Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> unit
+(** Step-by-step exactness of the flat router: {!Gcr.Router.run}'s merge
+    list (each query answered by the spatial cost-distance index) must
+    equal, merge for merge, that of {!Clocktree.Greedy.merge_all} — the
+    exhaustive scan source — over [Gcr.Router.cost] on a fresh forest.
+    Exact, ties included: both keep the first minimum in active order. *)
+
 val engine_vs_dense : Scenario.t -> unit
 (** Per-step greedy optimality of both merge engines —
     {!Gcr.Activity_router.topology} (nearest-neighbor heap with

@@ -79,3 +79,11 @@ let merge_sc (config : Config.t) ~ea ~eb ~mid_a ~mid_b ~enable_a ~enable_b =
   in
   clock ea enable_a +. clock eb enable_b +. control mid_a enable_a
   +. control mid_b enable_b
+
+let merge_sc_fixed (config : Config.t) ~mid ~enable =
+  let tech = config.Config.tech in
+  let c = tech.Clocktree.Tech.unit_cap in
+  let cg = tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap in
+  let len = Controller.wire_length config.Config.controller mid in
+  (cg *. enable.Enable.p)
+  +. (((c *. len) +. cg) *. enable.Enable.ptr *. config.Config.control_weight)

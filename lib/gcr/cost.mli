@@ -52,3 +52,11 @@ val merge_sc :
     child's enable star wire (estimated from the controller to the middle
     of the child's merging sector) weighted by its transition
     probability. *)
+
+val merge_sc_fixed : Config.t -> mid:Geometry.Point.t -> enable:Enable.t -> float
+(** [K(x) = C_g P(EN_x) + control(x)]: the part of one child's
+    {!merge_sc} terms that does not depend on its partner (its gate input
+    load weighted by [P], plus its enable star wire from [mid]). With
+    [c] the unit wire capacitance, zero skew gives [ea + eb >= d(a,b)],
+    so [merge_sc >= K(a) + K(b) + c min(P_a, P_b) d(a,b)] up to rounding
+    — the bound the router's spatial index prunes with. *)

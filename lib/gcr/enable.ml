@@ -5,11 +5,12 @@ type t = { mods : Activity.Module_set.t; p : float; ptr : float }
    probabilities fall out of weighted popcounts — the same integer hit
    counts the IFT/IMATT scans produce, divided identically, so the floats
    are bit-for-bit equal. Analytic profiles keep the closed-form path. *)
+let of_signature kern mods s =
+  { mods; p = Activity.Signature.p kern s; ptr = Activity.Signature.ptr kern s }
+
 let of_set profile mods =
   match Activity.Profile.signature_kernel profile with
-  | Some kern ->
-    let s = Activity.Signature.of_set kern mods in
-    { mods; p = Activity.Signature.p kern s; ptr = Activity.Signature.ptr kern s }
+  | Some kern -> of_signature kern mods (Activity.Signature.of_set kern mods)
   | None ->
     {
       mods;
@@ -17,15 +18,40 @@ let of_set profile mods =
       ptr = Activity.Profile.ptr profile mods;
     }
 
-let of_sink profile sink =
+let sink_set profile sink =
   let n = Activity.Profile.n_modules profile in
   let m = sink.Clocktree.Sink.module_id in
   if m >= n then
     invalid_arg
       (Printf.sprintf "Enable.of_sink: sink module %d outside the %d-module profile" m n);
-  of_set profile (Activity.Module_set.singleton n m)
+  Activity.Module_set.singleton n m
+
+let of_sink profile sink = of_set profile (sink_set profile sink)
 
 let merge profile a b = of_set profile (Activity.Module_set.union a.mods b.mods)
+
+type grown = { enable : t; signature : Activity.Signature.t option }
+
+let adopt enable = { enable; signature = None }
+
+let grow_sink profile sink =
+  let mods = sink_set profile sink in
+  match Activity.Profile.signature_kernel profile with
+  | Some kern ->
+    let s = Activity.Signature.of_set kern mods in
+    { enable = of_signature kern mods s; signature = Some s }
+  | None -> adopt (of_set profile mods)
+
+(* H(S u T) = H(S) | H(T), so a union's signature is the word-wise OR of
+   its children's and answers P/Ptr bit for bit like a fresh scan of the
+   union's modules ({!compute_all} relies on the same identity). *)
+let grow_merge profile a b =
+  let mods = Activity.Module_set.union a.enable.mods b.enable.mods in
+  match (Activity.Profile.signature_kernel profile, a.signature, b.signature) with
+  | Some kern, Some sa, Some sb ->
+    let s = Activity.Signature.union sa sb in
+    { enable = of_signature kern mods s; signature = Some s }
+  | _ -> adopt (of_set profile mods)
 
 let compute_all profile topo sinks =
   let n = Clocktree.Topo.n_nodes topo in

@@ -26,6 +26,31 @@ val merge : Activity.Profile.t -> t -> t -> t
 (** Enable of a parent node: union of the children's module sets, with
     probabilities looked up from the profile's tables. *)
 
+(** {1 Growing enables bottom-up}
+
+    A greedy merge builds every parent from its two children. With a
+    signature kernel, carrying each root's instruction-hit signature
+    makes a parent's [P]/[Ptr] a word-wise OR plus two weighted
+    popcounts instead of a rescan of the instruction set; the values are
+    bit-for-bit those of {!merge}. *)
+
+type grown = {
+  enable : t;
+  signature : Activity.Signature.t option;
+      (** the enable's signature; [None] without a kernel, or when the
+          enable was adopted from elsewhere *)
+}
+
+val adopt : t -> grown
+(** An enable computed elsewhere, without its signature. *)
+
+val grow_sink : Activity.Profile.t -> Clocktree.Sink.t -> grown
+(** {!of_sink}, keeping the signature. Raises as {!of_sink}. *)
+
+val grow_merge : Activity.Profile.t -> grown -> grown -> grown
+(** {!merge}: ORs the children's signatures when both carry one, and
+    falls back to {!of_set} of the union otherwise. *)
+
 val compute_all :
   Activity.Profile.t -> Clocktree.Topo.t -> Clocktree.Sink.t array -> t array
 (** Per-node enables for a whole topology, bottom-up. Sampled profiles

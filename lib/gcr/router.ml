@@ -4,11 +4,12 @@
 type forest = {
   config : Config.t;
   profile : Activity.Profile.t;
+  sinks : Clocktree.Sink.t array;
   grow : Clocktree.Grow.t;
-  enables : Enable.t option array;
+  enables : Enable.grown option array;
 }
 
-let forest (config : Config.t) profile sinks =
+let bare (config : Config.t) profile sinks =
   Clocktree.Sink.validate_array sinks;
   let tech = config.Config.tech in
   let n = Array.length sinks in
@@ -18,16 +19,23 @@ let forest (config : Config.t) profile sinks =
       sinks
   in
   (* Enables grow alongside the forest: entry v is node v's enable. *)
-  let enables = Array.make ((2 * n) - 1) None in
-  for v = 0 to n - 1 do
-    enables.(v) <- Some (Enable.of_sink profile sinks.(v))
-  done;
-  { config; profile; grow; enables }
+  { config; profile; sinks; grow; enables = Array.make ((2 * n) - 1) None }
+
+let forest config profile sinks =
+  let t = bare config profile sinks in
+  Array.iteri (fun v s -> t.enables.(v) <- Some (Enable.grow_sink profile s)) sinks;
+  t
 
 let grow t = t.grow
 
-let enable t v =
-  match t.enables.(v) with Some e -> e | None -> assert false
+let grown t v =
+  match t.enables.(v) with
+  | Some g -> g
+  | None -> invalid_arg (Printf.sprintf "Router.enable: node %d has no enable" v)
+
+let enable t v = (grown t v).Enable.enable
+
+let adopt_enable t v e = t.enables.(v) <- Some (Enable.adopt e)
 
 let cost t a b =
   let split = Clocktree.Grow.peek_split t.grow a b in
@@ -36,22 +44,54 @@ let cost t a b =
     ~mid_b:(Clocktree.Grow.center_point t.grow b)
     ~enable_a:(enable t a) ~enable_b:(enable t b)
 
+(* A consumed root's signature is never read again: drop it so only the
+   active roots' signatures stay live. *)
 let merge t a b =
   let k = Clocktree.Grow.merge t.grow a b in
-  t.enables.(k) <- Some (Enable.merge t.profile (enable t a) (enable t b));
+  let ga = grown t a and gb = grown t b in
+  t.enables.(k) <- Some (Enable.grow_merge t.profile ga gb);
+  t.enables.(a) <- Some (Enable.adopt ga.Enable.enable);
+  t.enables.(b) <- Some (Enable.adopt gb.Enable.enable);
   k
 
-(* Eq. (3) does admit a pairwise lower bound. With K(x) = C_g·P_x +
-   control(x), the part of a root's cost that does not depend on its
-   partner, zero skew gives e_a + e_b >= d(q,u), so
-     cost q u >= K(q) + K(u) + c·min(P_q,P_u)·d(q,u).
-   Nothing prunes with it yet: the scan-source engine costs every active
-   partner, though with one heap entry per active root instead of an
-   O(n^2)-entry pair heap. *)
+(* Eq. (3) through the spatial index. With K(x) = C_g·P_x + control(x)
+   (Cost.merge_sc_fixed), zero skew gives e_a + e_b >= d(q,u), so
+     cost q u >= K(q) + K(u) + c·min(P_q,P_u)·d(q,u),
+   the cost-distance bound Spatial.cheapest prunes with (its 1e-9
+   relative slack absorbs the rounding). Each root is indexed with its
+   K and P once, when it becomes active; a query owns only partners
+   u < q and calls [cost q u] in that order, with exact ties going to
+   the lower active rank, so every answer is the scan source's. *)
+let source t (view : Clocktree.Greedy.view) =
+  let n = view.Clocktree.Greedy.n in
+  let c = t.config.Config.tech.Clocktree.Tech.unit_cap in
+  let idx = Clocktree.Spatial.for_sinks ~capacity:((2 * n) - 1) t.sinks in
+  let activate v =
+    let e = enable t v in
+    Clocktree.Spatial.insert idx v (Clocktree.Grow.region t.grow v)
+      ~k:(Cost.merge_sc_fixed t.config ~mid:(Clocktree.Grow.center_point t.grow v) ~enable:e)
+      ~p:e.Enable.p
+  in
+  for v = 0 to n - 1 do
+    activate v
+  done;
+  {
+    Clocktree.Greedy.best =
+      (fun q ->
+        Clocktree.Spatial.cheapest idx q ~below:q ~c
+          ~dist:(Clocktree.Grow.dist t.grow q)
+          ~cost:(view.Clocktree.Greedy.cost q) ~rank:view.Clocktree.Greedy.rank);
+    merged =
+      (fun ~a ~b ~k ->
+        Clocktree.Spatial.remove idx a;
+        Clocktree.Spatial.remove idx b;
+        activate k);
+  }
+
 let run t =
   let n = Clocktree.Grow.n_sinks t.grow in
   let cost a b = cost t a b and merge a b = merge t a b in
-  ignore (Clocktree.Greedy.merge_all ~n ~cost ~merge : int)
+  ignore (Clocktree.Greedy.merge_all_with (source t) ~n ~cost ~merge : int)
 
 let route_topology_only (config : Config.t) profile sinks =
   let f = forest config profile sinks in

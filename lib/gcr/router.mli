@@ -8,9 +8,16 @@
     construction (gate reduction is a separate pass, {!Gate_reduction}).
 
     Complexity: O(B) to scan the stream once (done by the caller when
-    building the {!Activity.Profile}), O(K N^2 (log N + W)) for the merge
-    loop where W is the bitset word count — the practical counterpart of
-    the paper's O(B + K^2 N^2) bound. *)
+    building the {!Activity.Profile}), then the merge loop, which the
+    paper bounds by O(B + K^2 N^2): an exhaustive scan per query costs
+    O(N) partners. Here each query is answered by
+    {!Clocktree.Spatial.cheapest} under the cost-distance bound
+    [K(q) + K(u) + c min(P_q, P_u) d(q,u)] ({!Cost.merge_sc_fixed}) and
+    costs few partners (r1: 7-10 per query up to 4000 sinks, 21 at
+    10^4), so the loop is ~O(N log N) cost evaluations and pyramid steps
+    on realistic placements. A merge ORs the two roots' instruction-hit
+    signatures, O(W) in their word count. The answer is the exhaustive
+    scan's, ties included, so the trees are too. *)
 
 val route :
   ?skew_budget:float ->
@@ -44,8 +51,25 @@ val forest :
 (** Fresh forest, every sink its own root. Raises [Invalid_argument] on a
     mis-indexed sink array. *)
 
+val bare :
+  Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> forest
+(** A forest whose roots carry no enable yet — no sink enable is
+    computed. Replay merges through [Clocktree.Grow.merge (grow f)],
+    then give every surviving root its enable with {!adopt_enable}
+    before {!cost} or {!merge} reads it (the sharded stitch adopts the
+    region roots' enables this way). Raises [Invalid_argument] on a
+    mis-indexed sink array. *)
+
 val grow : forest -> Clocktree.Grow.t
 (** The underlying merge state (active roots, regions, merge list). *)
+
+val enable : forest -> int -> Enable.t
+(** A node's enable. Raises [Invalid_argument] when it has none (a
+    {!bare} forest's node that was never adopted or merged). *)
+
+val adopt_enable : forest -> int -> Enable.t -> unit
+(** Set a node's enable: the value {!merge} would have computed for it
+    in a forest that built the same subtree. *)
 
 val cost : forest -> int -> int -> float
 (** Eq. (3) merge switched capacitance of tentatively merging two active
@@ -56,6 +80,7 @@ val merge : forest -> int -> int -> int
 (** Commit a merge (Grow + enable union); returns the new root id. *)
 
 val run : forest -> unit
-(** Greedy-merge the forest down to a single root with the NN-heap scan
-    engine. Must be called on a fresh forest — the engine starts from
-    the sink roots. *)
+(** Greedy-merge the forest down to a single root with the NN-heap
+    engine, each best-partner query answered by the spatial
+    cost-distance index. Must be called on a fresh {!forest} — the
+    engine starts from the sink roots. *)

@@ -6,10 +6,9 @@ let region_steps_counter = Util.Obs.counter "shard.region_merge_steps"
 
 let stitch_ns_counter = Util.Obs.counter "shard.stitch_ns"
 
-(* Region sizing: small enough that a region's scan-source merge loop
-   (~k^2/2 cost evaluations) stays cheap, large enough that the stitch —
-   whose merges cannot cross region boundaries — decides only a thin top
-   layer of the tree. *)
+(* Region sizing: small enough that regions keep a domain pool fed, large
+   enough that the stitch — whose merges cannot cross region boundaries —
+   decides only a thin top layer of the tree. *)
 let target_region = 1024
 
 let min_split = 128
@@ -76,36 +75,44 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
   in
   Util.Obs.add regions_counter (Array.length regions);
   let region_sinks = Array.map (Clocktree.Sink.subset sinks) regions in
-  let region_merges =
+  (* Each worker hands back its merge list and its root's enable. *)
+  let routed =
     Util.Obs.span ~name:"shard:route-regions" (fun () ->
         Util.Parallel.map_dyn ~domains:domains_n
           ~weight:(fun ls -> Array.length ls * Array.length ls)
           (fun ls ->
             let f = Router.forest config profile ls in
             Router.run f;
-            Clocktree.Grow.merges (Router.grow f))
+            let g = Router.grow f in
+            (Clocktree.Grow.merges g, Router.enable f (Clocktree.Grow.n_nodes g - 1)))
           region_sinks)
   in
+  let region_merges = Array.map fst routed in
   Array.iter
     (fun ms -> Util.Obs.add region_steps_counter (Array.length ms))
     region_merges;
   let topo =
     Util.Obs.span ~name:"shard:stitch" (fun () ->
         let t0 = Util.Obs.Clock.now_ns () in
-        let forest = Router.forest config profile sinks in
+        let forest = Router.bare config profile sinks in
         (* Replay each region's merge list into the global forest. The
            zero-skew split of a merge depends only on the two subtrees
            being merged (their regions, delays, caps), so replaying the
            same merges over the same sinks rebuilds the same subtree the
            region router built — the global arena ends up holding every
            region tree side by side, children always created before
-           parents. *)
+           parents. The replay is geometry only: no enable below a region
+           root is ever read again, and each root adopts the enable its
+           region computed, bit for bit what replaying its merges through
+           Router.merge would recompute over the same sinks. *)
+        let grow = Router.grow forest in
         let roots =
           Array.map2
             (fun leaves merges ->
-              Clocktree.Topo.replay ~leaves ~merges ~merge:(Router.merge forest))
+              Clocktree.Topo.replay ~leaves ~merges ~merge:(Clocktree.Grow.merge grow))
             regions region_merges
         in
+        Array.iteri (fun i r -> Router.adopt_enable forest r (snd routed.(i))) roots;
         stitch_roots forest roots;
         let topo = Clocktree.Grow.topology (Router.grow forest) in
         Util.Obs.add stitch_ns_counter

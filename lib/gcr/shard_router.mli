@@ -1,9 +1,9 @@
 (** Sharded region-parallel gated-clock routing.
 
-    The paper's Eq. (3) cost has no spatial lower bound to prune with, so
-    the flat NN-heap route still evaluates O(n^2)-ish candidate costs —
-    fine at r-benchmark sizes, hopeless at 10^5 sinks. This router trades
-    a bounded amount of cost optimality for near-linear scaling:
+    The flat route answers each Eq. (3) query from a spatial index
+    (~O(n log n) cost evaluations), but one forest still runs on one
+    domain. This router trades a bounded amount of cost optimality for
+    region parallelism:
 
     + {b Partition} the die into regions by recursive bisection
       ({!Clocktree.Partition}), cluster-aware when the sinks carry
@@ -15,10 +15,12 @@
       share nothing mutable;
     + {b Stitch}: replay every region's merge list into one global forest
       (a merge's split depends only on the two subtrees, so the replayed
-      regions are exactly the trees the regions built), then greedy-merge
-      the surviving region roots with the same Eq. (3) cost — a top-level
-      zero-skew merge meeting the same skew budget as a flat route, since
-      skew is enforced by construction in {!Clocktree.Zskew}/{!Mseg}.
+      regions are exactly the trees the regions built; the replay is
+      geometry only, and each region root adopts the enable its region
+      computed), then greedy-merge the surviving region roots with the
+      same Eq. (3) cost — a top-level zero-skew merge meeting the same
+      skew budget as a flat route, since skew is enforced by construction
+      in {!Clocktree.Zskew}/{!Mseg}.
 
     Merges never cross a region boundary below the stitch, which is where
     the cost tolerance vs the flat route comes from (measured in

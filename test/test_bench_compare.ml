@@ -79,6 +79,33 @@ let test_row_round_trip () =
   Alcotest.(check bool) "quick flag carried" true
     (Bench_compare.quick_of_doc back)
 
+(* Allocated words are deterministic, so they gate at 2 % whatever
+   threshold the wall-time keys use; other counters stay ungated. *)
+let test_words_gate_tightly () =
+  let doc =
+    parse
+      {|{"merge_scaling": {"1000": {"merge_ns": 5.0, "words": 100.0,
+                                    "cost_evals": 7}}}|}
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "words leaves are extracted, counters are not"
+    [ ("merge_scaling.1000.merge_ns", 5.0); ("merge_scaling.1000.words", 100.0) ]
+    (Bench_compare.metrics_of_doc doc);
+  let baseline = [ ("s.words", 1000.0); ("s.merge_ns", 1000.0) ] in
+  let within =
+    Bench_compare.check ~threshold:0.15 ~baseline
+      ~candidate:[ ("s.words", 1019.0); ("s.merge_ns", 1140.0) ]
+  in
+  Alcotest.(check bool) "+1.9 % words and +14 % time pass" true
+    (Bench_compare.passed within);
+  let over =
+    Bench_compare.check ~threshold:0.15 ~baseline
+      ~candidate:[ ("s.words", 1021.0); ("s.merge_ns", 1000.0) ]
+  in
+  match over.Bench_compare.regressions with
+  | [ ("s.words", 1000.0, 1021.0) ] -> ()
+  | _ -> Alcotest.fail "expected exactly the +2.1 % words regression"
+
 let test_last_line () =
   Alcotest.(check (option string)) "last non-blank line" (Some "{\"b\": 2}")
     (Bench_compare.last_line "{\"a\": 1}\n{\"b\": 2}\n\n");
@@ -101,5 +128,6 @@ let () =
             test_check_ignores_nonpositive_baseline;
           Alcotest.test_case "row round trip" `Quick test_row_round_trip;
           Alcotest.test_case "last line" `Quick test_last_line;
+          Alcotest.test_case "words gate at 2 %" `Quick test_words_gate_tightly;
         ] );
     ]

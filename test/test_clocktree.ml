@@ -807,6 +807,71 @@ let prop_spatial_nearest_matches_scan =
       done;
       !ok)
 
+(* cheapest over random regions, weights and removals must return a
+   scan's answer — the first minimum in rank order among ids below the
+   query. Costs are the bound plus a non-negative extra rounded to a
+   coarse grid, so exact ties between distinct ids are common. *)
+let prop_spatial_cheapest_matches_scan =
+  QCheck.Test.make ~name:"spatial cheapest = first minimum of a rank-order scan"
+    ~count:80
+    QCheck.(pair (int_range 2 70) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let prng = Util.Prng.create (seed + 7) in
+      let rect _ =
+        let u = Util.Prng.range prng (-300.0) 300.0 in
+        let v = Util.Prng.range prng (-300.0) 300.0 in
+        let wu = if Util.Prng.int prng 3 = 0 then 0.0 else Util.Prng.range prng 0.0 60.0 in
+        let wv = if Util.Prng.int prng 3 = 0 then 0.0 else Util.Prng.range prng 0.0 60.0 in
+        Geometry.Rect.make ~ulo:u ~uhi:(u +. wu) ~vlo:v ~vhi:(v +. wv)
+      in
+      let regions = Array.init n rect in
+      let k = Array.init n (fun _ -> Float.round (Util.Prng.range prng 0.0 4.0)) in
+      let p = Array.init n (fun _ -> Float.round (Util.Prng.range prng 0.0 4.0) /. 4.0) in
+      let extra = Array.init n (fun _ -> Float.round (Util.Prng.range prng 0.0 3.0)) in
+      let c = 0.01 in
+      let dist i j = Geometry.Rect.distance regions.(i) regions.(j) in
+      let cost q u =
+        Float.round
+          (k.(q) +. k.(u) +. (c *. Float.min p.(q) p.(u) *. dist q u) +. extra.(u) +. 0.5)
+      in
+      let rank = Array.init n (fun i -> i) in
+      for i = n - 1 downto 1 do
+        let j = Util.Prng.int prng (i + 1) in
+        let x = rank.(i) in
+        rank.(i) <- rank.(j);
+        rank.(j) <- x
+      done;
+      let idx = Clocktree.Spatial.create ~capacity:n ~cell:(600.0 /. sqrt (float_of_int n)) () in
+      Array.iteri (fun i r -> Clocktree.Spatial.insert idx i r ~k:k.(i) ~p:p.(i)) regions;
+      let alive = Array.make n true in
+      for _ = 1 to n / 4 do
+        let i = Util.Prng.int prng n in
+        if alive.(i) then begin
+          alive.(i) <- false;
+          Clocktree.Spatial.remove idx i
+        end
+      done;
+      let ok = ref true in
+      for q = 0 to n - 1 do
+        if alive.(q) then begin
+          let expect = ref None in
+          let order = List.sort (fun a b -> compare rank.(a) rank.(b)) (List.init n Fun.id) in
+          List.iter
+            (fun u ->
+              if alive.(u) && u < q then
+                match !expect with
+                | Some (_, b) when cost q u >= b -> ()
+                | _ -> expect := Some (u, cost q u))
+            order;
+          let got =
+            Clocktree.Spatial.cheapest idx q ~below:q ~c ~dist:(dist q) ~cost:(cost q)
+              ~rank:(fun u -> rank.(u))
+          in
+          if got <> !expect then ok := false
+        end
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Nn                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1131,6 +1196,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_spatial_basic;
           Alcotest.test_case "validation" `Quick test_spatial_validation;
           qt prop_spatial_nearest_matches_scan;
+          qt prop_spatial_cheapest_matches_scan;
         ] );
       ( "nn",
         [

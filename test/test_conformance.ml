@@ -403,6 +403,88 @@ let test_reduce_sum_terms_linear () =
         (terms > 0 && per_node <= 48.0))
     [ 1000; 2000 ]
 
+(* ------------------------------------------------------------------ *)
+(* Flat router: spatial index vs. the exhaustive scan                  *)
+(* ------------------------------------------------------------------ *)
+
+let r1_case n =
+  let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:n in
+  Benchmarks.Suite.case spec
+
+let test_router_matches_scan_r1 () =
+  List.iter
+    (fun n ->
+      let c = r1_case n in
+      Conformance.Oracles.router_matches_scan c.Benchmarks.Suite.config
+        c.Benchmarks.Suite.profile c.Benchmarks.Suite.sinks)
+    [ 300; 600 ]
+
+(* Three sinks in a row, each in its own module, the outer two mirrored
+   about the middle one and the controller at the die centre, under a
+   stream in which modules 0 and 1 hit and toggle equally often: the
+   middle sink's two partners cost bit-equal Eq. (3) values. Both are
+   below it in id and, at seeding, in active rank (rank = id), so the
+   first merge must take the lower rank, sink 0. *)
+let test_router_tie_goes_to_lower_rank () =
+  let sink id x =
+    Clocktree.Sink.make ~id ~loc:(Geometry.Point.make x 500.0) ~cap:10.0 ~module_id:id
+  in
+  let sinks = [| sink 0 100.0; sink 1 900.0; sink 2 500.0 |] in
+  let rtl = Activity.Rtl.of_lists ~n_modules:3 [ [ 0 ]; [ 1 ]; [ 2 ] ] in
+  (* 2 0 2 1 2 0 2 1 ... 2: every 0 and every 1 sits between two 2s *)
+  let stream =
+    Activity.Instr_stream.make rtl
+      (Array.init 41 (fun i -> if i mod 2 = 0 then 2 else if i mod 4 = 1 then 0 else 1))
+  in
+  let profile = Activity.Profile.of_stream stream in
+  let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1000.0) () in
+  let f = Gcr.Router.forest config profile sinks in
+  let c0 = Gcr.Router.cost f 2 0 and c1 = Gcr.Router.cost f 2 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "bit-equal costs %.17g and %.17g" c0 c1)
+    true
+    (Int64.equal (Int64.bits_of_float c0) (Int64.bits_of_float c1));
+  Alcotest.(check bool) "the tie is the cheapest pair" true (c0 < Gcr.Router.cost f 1 0);
+  Gcr.Router.run f;
+  (match Clocktree.Grow.merges (Gcr.Router.grow f) with
+  | [| (a, b); _ |] ->
+    Alcotest.(check (pair int int)) "first merge takes rank 0" (0, 2) (a, b)
+  | _ -> Alcotest.fail "expected two merges");
+  Conformance.Oracles.router_matches_scan config profile sinks
+
+let greedy_counts n =
+  let c = r1_case n in
+  let _, report =
+    Util.Obs.run (fun () ->
+        Gcr.Router.route_topology_only c.Benchmarks.Suite.config
+          c.Benchmarks.Suite.profile c.Benchmarks.Suite.sinks)
+  in
+  let count name =
+    float_of_int
+      (Option.value ~default:0 (List.assoc_opt name report.Util.Obs.counters))
+  in
+  let queries = count "greedy.queries" in
+  (count "greedy.cost_evals" /. queries, count "greedy.cells_visited" /. queries)
+
+(* The index costs about ten partners per query whatever n is (an
+   exhaustive scan costs hundreds to thousands), and the pyramid walk
+   grows no faster than the tree is deep. *)
+let test_router_work_per_query () =
+  let costs_1k, cells_1k = greedy_counts 1000 in
+  let costs_2k, _ = greedy_counts 2000 in
+  let _, cells_4k = greedy_counts 4000 in
+  List.iter
+    (fun (n, costs) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "r1 at %d: %.1f cost evaluations per query <= 40" n costs)
+        true
+        (costs > 0.0 && costs <= 40.0))
+    [ (1000, costs_1k); (2000, costs_2k) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "cells per query %.1f at 4000 <= 1.5 x %.1f at 1000" cells_4k cells_1k)
+    true
+    (cells_1k > 0.0 && cells_4k <= 1.5 *. cells_1k)
+
 let () =
   Alcotest.run "conformance"
     [
@@ -444,5 +526,14 @@ let () =
             test_rules_match_recursive_reference;
           Alcotest.test_case "sum terms per node stay flat" `Quick
             test_reduce_sum_terms_linear;
+        ] );
+      ( "router index",
+        [
+          Alcotest.test_case "index equals the scan on r1" `Quick
+            test_router_matches_scan_r1;
+          Alcotest.test_case "bit-equal costs go to the lower rank" `Quick
+            test_router_tie_goes_to_lower_rank;
+          Alcotest.test_case "work per query stays flat" `Quick
+            test_router_work_per_query;
         ] );
     ]
