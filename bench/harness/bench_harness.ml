@@ -1601,9 +1601,13 @@ let reduce_scaling () =
 let merge_scaling () =
   section "Eq. (3) merge scaling (r1, spatial cost-distance index)";
   let sizes = if quick () then [ 1_000 ] else [ 2_000; 4_000 ] in
+  (* Grouped r1 (the sharded-20k shape, flat): many sinks per module, so
+     the row shows the per-module signature sharing. *)
+  let grouped = if quick () then 2_000 else 10_000 in
   let reps = 3 in
   let counters =
-    [ "greedy.queries"; "greedy.cost_evals"; "greedy.bound_evals"; "greedy.cells_visited" ]
+    [ "greedy.queries"; "greedy.cost_evals"; "greedy.bound_evals"; "greedy.cells_visited";
+      "signature.sets" ]
   in
   let open Util.Text_table in
   let table =
@@ -1611,42 +1615,50 @@ let merge_scaling () =
       ~title:(Printf.sprintf "Router.route_topology_only (best of %d)" reps)
       [ ("sinks", Right); ("merge (ms)", Right); ("Mwords", Right);
         ("queries", Right); ("costs / query", Right); ("bounds / query", Right);
-        ("cells / query", Right) ]
+        ("cells / query", Right); ("signature sets", Right) ]
   in
-  let rows =
+  let row (key, label, { Benchmarks.Suite.config; profile; sinks; _ }) =
+    let best, words, count =
+      scaling_run ~reps ~counters (fun () ->
+          Gcr.Router.route_topology_only config profile sinks)
+    in
+    let per name = float_of_int (count name) /. float_of_int (count "greedy.queries") in
+    add_row table
+      [
+        label;
+        Printf.sprintf "%.1f" (best *. 1e3);
+        Printf.sprintf "%.2f" (words /. 1e6);
+        string_of_int (count "greedy.queries");
+        Printf.sprintf "%.1f" (per "greedy.cost_evals");
+        Printf.sprintf "%.1f" (per "greedy.bound_evals");
+        Printf.sprintf "%.1f" (per "greedy.cells_visited");
+        string_of_int (count "signature.sets");
+      ];
+    Printf.sprintf
+      "\"%s\": {\"merge_ns\": %.1f, \"words\": %.0f, \"queries\": %d, \
+       \"cost_evals\": %d, \"bound_evals\": %d, \"cells_visited\": %d, \
+       \"signature_sets\": %d}"
+      key (best *. 1e9) words (count "greedy.queries")
+      (count "greedy.cost_evals") (count "greedy.bound_evals")
+      (count "greedy.cells_visited") (count "signature.sets")
+  in
+  let cases =
     List.map
       (fun n ->
         let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:n in
-        let { Benchmarks.Suite.config; profile; sinks; _ } =
-          Benchmarks.Suite.case ~stream_length:(stream_length ()) spec
-        in
-        let best, words, count =
-          scaling_run ~reps ~counters (fun () ->
-              Gcr.Router.route_topology_only config profile sinks)
-        in
-        let per name = float_of_int (count name) /. float_of_int (count "greedy.queries") in
-        add_row table
-          [
-            string_of_int n;
-            Printf.sprintf "%.1f" (best *. 1e3);
-            Printf.sprintf "%.2f" (words /. 1e6);
-            string_of_int (count "greedy.queries");
-            Printf.sprintf "%.1f" (per "greedy.cost_evals");
-            Printf.sprintf "%.1f" (per "greedy.bound_evals");
-            Printf.sprintf "%.1f" (per "greedy.cells_visited");
-          ];
-        Printf.sprintf
-          "\"%d\": {\"merge_ns\": %.1f, \"words\": %.0f, \"queries\": %d, \
-           \"cost_evals\": %d, \"bound_evals\": %d, \"cells_visited\": %d}"
-          n (best *. 1e9) words (count "greedy.queries")
-          (count "greedy.cost_evals") (count "greedy.bound_evals")
-          (count "greedy.cells_visited"))
+        ( string_of_int n,
+          string_of_int n,
+          Benchmarks.Suite.case ~stream_length:(stream_length ()) spec ))
       sizes
+    @ [ (Printf.sprintf "grouped_%d" grouped, Printf.sprintf "%d grouped" grouped,
+         shard_case grouped) ]
   in
+  let rows = List.map row cases in
   print table;
   pf "\nEach query walks the pyramid best-first under the cost-distance bound\n";
   pf "K(q) + K(u) + c*min(P_q,P_u)*d and costs only partners whose own bound\n";
-  pf "passes: costs and cells per query stay flat as n doubles.\n";
+  pf "passes: costs and cells per query stay flat as n doubles. Sinks of one\n";
+  pf "module share one signature: the grouped row scans once per module.\n";
   record "merge_scaling" (Printf.sprintf "{%s}" (String.concat ", " rows))
 
 (* When this process itself ran traced (GCR_TRACE=1), dump its own run

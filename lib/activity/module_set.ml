@@ -23,7 +23,9 @@ let add s m =
 
 let singleton n m =
   check_member "singleton" n m;
-  add (empty n) m
+  let s = empty n in
+  s.bits.(m / bits_per_word) <- 1 lsl (m mod bits_per_word);
+  s
 
 let of_list n ms = List.fold_left add (empty n) ms
 
@@ -57,12 +59,16 @@ let diff a b = map2 "diff" (fun x y -> x land lnot y) a b
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.bits
 
+(* A loop, not a local recursive function: that would allocate its
+   closure on every call, and this runs once per instruction for every
+   signature built. *)
 let intersects a b =
   check_universe "intersects" a b;
-  let rec scan i =
-    i < Array.length a.bits && (a.bits.(i) land b.bits.(i) <> 0 || scan (i + 1))
-  in
-  scan 0
+  let n = Array.length a.bits and i = ref 0 in
+  while !i < n && a.bits.(!i) land b.bits.(!i) = 0 do
+    incr i
+  done;
+  !i < n
 
 let subset a b =
   check_universe "subset" a b;

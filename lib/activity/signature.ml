@@ -544,22 +544,9 @@ let of_set kern set =
   done;
   s
 
-let or_words dst a b =
-  for w = 0 to Array.length dst - 1 do
-    dst.(w) <- a.(w) lor b.(w)
-  done
-
 (* [tog] of a union is NOT tog_a lor tog_b — it must be recomputed from
    the unioned now/next words (a row toggles iff the union's bits
-   differ). Both constructors derive it from the words just written. *)
-let union_into dst a b =
-  or_words dst.hits a.hits b.hits;
-  or_words dst.now a.now b.now;
-  or_words dst.next a.next b.next;
-  for w = 0 to Array.length dst.tog - 1 do
-    dst.tog.(w) <- dst.now.(w) lxor dst.next.(w)
-  done
-
+   differ). *)
 let union a b =
   let now = Array.init (Array.length a.now) (fun w -> a.now.(w) lor b.now.(w))
   and next =

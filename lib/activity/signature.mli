@@ -41,8 +41,9 @@ type t = { hits : int array; now : int array; next : int array; tog : int array 
 (** The signature of one module set. [tog] caches [now lxor next] — the
     [Ptr] query word — and is kept consistent by every constructor here;
     build [t] values only through {!of_set}, {!create} and {!union}.
-    Treat as immutable: {!union_into} writes only into signatures
-    created by {!create}. (Field order is ABI with the C stubs — do not
+    No operation here writes into a signature once it is built, so one
+    signature may be shared freely (a router shares each module's among
+    all its sinks). (Field order is ABI with the C stubs — do not
     reorder.) *)
 
 val kernel : ?force_ocaml:bool -> Ift.t -> Imatt.t -> kernel
@@ -84,13 +85,10 @@ val of_set : kernel -> Module_set.t -> t
     [Invalid_argument] on a universe mismatch. *)
 
 val create : kernel -> t
-(** An all-zero signature (the empty set), for {!union_into} chains. *)
+(** An all-zero signature (the empty set). *)
 
 val union : t -> t -> t
 (** Fresh word-wise OR of two signatures. *)
-
-val union_into : t -> t -> t -> unit
-(** [union_into dst a b] ORs [a] and [b] into [dst], allocation-free. *)
 
 val p : kernel -> t -> float
 (** [P(EN)] of the signature's set; equals {!Ift.p_any} exactly. *)

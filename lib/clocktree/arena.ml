@@ -60,16 +60,24 @@ let set_region_point t v p =
   t.vlo.(v) <- r.Geometry.Rot.v;
   t.vhi.(v) <- r.Geometry.Rot.v
 
+(* Float.max by plain comparisons: Stdlib's is an out-of-line call that
+   boxes both operands, once per cost evaluation. A NaN operand fails
+   both comparisons and propagates through [a +. b], so a NaN region
+   still yields a NaN distance, which Zskew rejects. *)
+let[@inline] fmax (a : float) b = if a >= b then a else if a < b then b else a +. b
+
 (* Mirrors Rect.interval_gap / Rect.distance exactly so that callers
    switching from materialized rectangles to column reads see
-   bit-identical distances (and therefore identical greedy choices). *)
-let[@inline] interval_gap alo ahi blo bhi =
-  Float.max 0.0 (Float.max (blo -. ahi) (alo -. bhi))
+   bit-identical distances (and therefore identical greedy choices).
+   [fmax] may keep a -0.0 that Float.max would turn into +0.0 only in
+   the inner max; the outer max with 0.0 returns +0.0 either way, so
+   every result matches Float.max's bit for bit. *)
+let[@inline] interval_gap alo ahi blo bhi = fmax 0.0 (fmax (blo -. ahi) (alo -. bhi))
 
 let dist t a b =
   let du = interval_gap t.ulo.(a) t.uhi.(a) t.ulo.(b) t.uhi.(b) in
   let dv = interval_gap t.vlo.(a) t.vhi.(a) t.vlo.(b) t.vhi.(b) in
-  Float.max du dv
+  fmax du dv
 
 let center_point t v =
   Geometry.Rot.to_point

@@ -59,6 +59,12 @@ let peek_split t a b =
   check_active "peek_split" t b;
   Zskew.split t.tech (branch t a) (branch t b) ~dist:(dist t a b)
 
+let peek_lengths t a b lengths =
+  check_active "peek_lengths" t a;
+  check_active "peek_lengths" t b;
+  Zskew.lengths_into t.tech t.edge_gate ~delay:t.arena.Arena.delay ~cap:t.arena.Arena.cap a
+    b ~dist:(dist t a b) lengths
+
 let merge t a b =
   check_active "merge" t a;
   check_active "merge" t b;

@@ -47,6 +47,12 @@ val peek_split : t -> int -> int -> Zskew.split
 (** Zero-skew split for a tentative merge of two roots; no state change.
     Raises [Invalid_argument] if either id is not an active root. *)
 
+val peek_lengths : t -> int -> int -> float array -> unit
+(** [peek_lengths t a b lengths] writes {!peek_split}'s [ea] and [eb]
+    into [lengths.(0)] and [lengths.(1)], bit for bit, reading the
+    delay, cap and region columns without building a branch, a split or
+    a rectangle ({!Zskew.lengths_into}). Raises as {!peek_split}. *)
+
 val merge : t -> int -> int -> int
 (** Commit a merge; returns the id of the new root. Raises
     [Invalid_argument] if either id is not an active root or both are the

@@ -12,15 +12,15 @@ let bisect ?groups ~n_regions sinks =
       (Printf.sprintf "Partition.bisect: %d group labels for %d sinks"
          (Array.length g) n)
   | _ -> ());
-  let x i = sinks.(i).Sink.loc.Geometry.Point.x in
-  let y i = sinks.(i).Sink.loc.Geometry.Point.y in
+  let xs = Array.map (fun s -> s.Sink.loc.Geometry.Point.x) sinks in
+  let ys = Array.map (fun s -> s.Sink.loc.Geometry.Point.y) sinks in
   let out = ref [] in
   (* [idxs] is mutated in place by the coordinate sorts; every sink index
      appears in exactly one recursive call, so no copying is needed. *)
   let rec go idxs k =
     let len = Array.length idxs in
     if k <= 1 || len < 2 then begin
-      Array.sort compare idxs;
+      Array.sort Int.compare idxs;
       out := idxs :: !out
     end
     else begin
@@ -29,23 +29,23 @@ let bisect ?groups ~n_regions sinks =
       (* proportional order statistic keeps leaf regions near-equal even
          when k is not a power of two *)
       let target = max 1 (min (len - 1) (len * kl / k)) in
-      let span f =
+      let span (keys : float array) =
         let lo = ref infinity and hi = ref neg_infinity in
-        Array.iter
-          (fun i ->
-            let c = f i in
-            if c < !lo then lo := c;
-            if c > !hi then hi := c)
-          idxs;
+        for j = 0 to len - 1 do
+          let c = keys.(idxs.(j)) in
+          if c < !lo then lo := c;
+          if c > !hi then hi := c
+        done;
         !hi -. !lo
       in
-      let coord = if span x >= span y then x else y in
-      (* ties broken by index: the sort (and thus the partition) is a
-         pure function of the sink array *)
-      Array.sort
+      let keys = if span xs >= span ys then xs else ys in
+      (* ties broken by index: the order is total, so any sort (stable
+         merge sort here, faster than the heap sort of Array.sort) gives
+         the same permutation, a pure function of the sink array *)
+      Array.stable_sort
         (fun i j ->
-          match Float.compare (coord i) (coord j) with
-          | 0 -> compare i j
+          match Float.compare keys.(i) keys.(j) with
+          | 0 -> Int.compare i j
           | c -> c)
         idxs;
       let cut =

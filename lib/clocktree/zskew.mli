@@ -53,3 +53,21 @@ val split : Tech.t -> branch -> branch -> dist:float -> split
     Guarantees [ea, eb >= 0], [ea + eb >= dist], and
     [|branch_delay a ea - branch_delay b eb| <= 1e-6 * (1 + merged_delay)].
     Raises [Invalid_argument] on a negative distance. *)
+
+val lengths_into :
+  Tech.t ->
+  Tech.gate option ->
+  delay:float array ->
+  cap:float array ->
+  int ->
+  int ->
+  dist:float ->
+  float array ->
+  unit
+(** [lengths_into tech gate ~delay ~cap a b ~dist lengths] writes the
+    [ea] and [eb] of {!split} for the branches
+    [{ delay = delay.(a); cap = cap.(a); gate }] and
+    [{ delay = delay.(b); cap = cap.(b); gate }] into [lengths.(0)] and
+    [lengths.(1)], bit for bit, through the same arithmetic and without
+    allocating: no branch record, coefficient tuple or split is built.
+    Raises as {!split}. *)

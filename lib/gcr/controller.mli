@@ -17,7 +17,8 @@ val at : Geometry.Point.t -> t
 
 val distributed : Geometry.Bbox.t -> k:int -> t
 (** [k] controllers on a square grid; [k] must be a positive perfect
-    square. Raises [Invalid_argument] otherwise. *)
+    square. The [k] sites are computed here, once. Raises
+    [Invalid_argument] otherwise. *)
 
 val n_controllers : t -> int
 
@@ -25,7 +26,8 @@ val sites : t -> Geometry.Point.t list
 (** Controller locations (cell centers for the distributed form). *)
 
 val site_for : t -> Geometry.Point.t -> Geometry.Point.t
-(** The controller serving a gate at the given location. *)
+(** The controller serving a gate at the given location: a cell lookup,
+    with no allocation. *)
 
 val wire_length : t -> Geometry.Point.t -> float
 (** Manhattan length of the star wire from a gate at the given location to

@@ -68,22 +68,34 @@ let subtree_switched_cap t v =
   in
   go v
 
-let merge_sc (config : Config.t) ~ea ~eb ~mid_a ~mid_b ~enable_a ~enable_b =
-  let tech = config.Config.tech in
-  let c = tech.Clocktree.Tech.unit_cap in
-  let cg = tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap in
-  let clock side_len enable = ((c *. side_len) +. cg) *. enable.Enable.p in
-  let control mid enable =
-    let len = Controller.wire_length config.Config.controller mid in
-    ((c *. len) +. cg) *. enable.Enable.ptr *. config.Config.control_weight
-  in
-  clock ea enable_a +. clock eb enable_b +. control mid_a enable_a
-  +. control mid_b enable_b
+(* Eq. (3)'s terms, the one copy of its arithmetic. [merge_sc] and
+   [merge_sc_columns] inline them, so the column form boxes no float and
+   both sum in the order ((clock_a + clock_b) + ctrl_a) + ctrl_b. *)
+let[@inline] wire_cap (config : Config.t) = config.Config.tech.Clocktree.Tech.unit_cap
 
-let merge_sc_fixed (config : Config.t) ~mid ~enable =
-  let tech = config.Config.tech in
-  let c = tech.Clocktree.Tech.unit_cap in
-  let cg = tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap in
+let[@inline] gate_cap (config : Config.t) =
+  config.Config.tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap
+
+let[@inline] clock_term config ~len ~p = ((wire_cap config *. len) +. gate_cap config) *. p
+
+let[@inline] eq3 ~clock_a ~clock_b ~ctrl_a ~ctrl_b = clock_a +. clock_b +. ctrl_a +. ctrl_b
+
+let control_sc (config : Config.t) ~mid ~ptr =
   let len = Controller.wire_length config.Config.controller mid in
-  (cg *. enable.Enable.p)
-  +. (((c *. len) +. cg) *. enable.Enable.ptr *. config.Config.control_weight)
+  ((wire_cap config *. len) +. gate_cap config) *. ptr *. config.Config.control_weight
+
+let merge_sc config ~ea ~eb ~mid_a ~mid_b ~enable_a ~enable_b =
+  eq3
+    ~clock_a:(clock_term config ~len:ea ~p:enable_a.Enable.p)
+    ~clock_b:(clock_term config ~len:eb ~p:enable_b.Enable.p)
+    ~ctrl_a:(control_sc config ~mid:mid_a ~ptr:enable_a.Enable.ptr)
+    ~ctrl_b:(control_sc config ~mid:mid_b ~ptr:enable_b.Enable.ptr)
+
+let merge_sc_columns config ~(lengths : float array) ~(p : float array)
+    ~(ctrl : float array) a b =
+  eq3
+    ~clock_a:(clock_term config ~len:lengths.(0) ~p:p.(a))
+    ~clock_b:(clock_term config ~len:lengths.(1) ~p:p.(b))
+    ~ctrl_a:ctrl.(a) ~ctrl_b:ctrl.(b)
+
+let merge_sc_fixed config ~p ~ctrl = (gate_cap config *. p) +. ctrl

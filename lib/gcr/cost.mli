@@ -53,10 +53,24 @@ val merge_sc :
     of the child's merging sector) weighted by its transition
     probability. *)
 
-val merge_sc_fixed : Config.t -> mid:Geometry.Point.t -> enable:Enable.t -> float
+val control_sc : Config.t -> mid:Geometry.Point.t -> ptr:float -> float
+(** One child's enable star term of {!merge_sc}:
+    [((c len) + C_g) Ptr w], with [len] the controller wire length from
+    [mid] and [w] the control weight. *)
+
+val merge_sc_columns :
+  Config.t -> lengths:float array -> p:float array -> ctrl:float array -> int -> int -> float
+(** [merge_sc_columns config ~lengths ~p ~ctrl a b] is {!merge_sc} with
+    [ea = lengths.(0)], [eb = lengths.(1)], [P_a = p.(a)],
+    [P_b = p.(b)] and the star terms [ctrl.(a)] and [ctrl.(b)] of
+    {!control_sc} — bit for bit, through the same arithmetic, boxing no
+    float on the way. The router's per-evaluation form. *)
+
+val merge_sc_fixed : Config.t -> p:float -> ctrl:float -> float
 (** [K(x) = C_g P(EN_x) + control(x)]: the part of one child's
     {!merge_sc} terms that does not depend on its partner (its gate input
-    load weighted by [P], plus its enable star wire from [mid]). With
-    [c] the unit wire capacitance, zero skew gives [ea + eb >= d(a,b)],
-    so [merge_sc >= K(a) + K(b) + c min(P_a, P_b) d(a,b)] up to rounding
-    — the bound the router's spatial index prunes with. *)
+    load weighted by [p], plus its enable star term [ctrl] from
+    {!control_sc}). With [c] the unit wire capacitance, zero skew gives
+    [ea + eb >= d(a,b)], so
+    [merge_sc >= K(a) + K(b) + c min(P_a, P_b) d(a,b)] up to rounding —
+    the bound the router's spatial index prunes with. *)

@@ -44,8 +44,10 @@ type grown = {
 val adopt : t -> grown
 (** An enable computed elsewhere, without its signature. *)
 
-val grow_sink : Activity.Profile.t -> Clocktree.Sink.t -> grown
-(** {!of_sink}, keeping the signature. Raises as {!of_sink}. *)
+val grow_sinks : Activity.Profile.t -> Clocktree.Sink.t array -> grown array
+(** {!of_sink} of every sink, keeping the signature. Each distinct
+    module is scanned once ([Signature.of_set]); its sinks share the
+    one immutable result. Raises as {!of_sink}. *)
 
 val grow_merge : Activity.Profile.t -> grown -> grown -> grown
 (** {!merge}: ORs the children's signatures when both carry one, and
@@ -56,6 +58,7 @@ val compute_all :
 (** Per-node enables for a whole topology, bottom-up. Sampled profiles
     propagate instruction-hit signatures up the tree (word-wise ORs plus
     weighted popcounts — see {!Activity.Signature}) instead of rescanning
-    the tables per node; the probabilities are identical either way. *)
+    the tables per node, and scan the instructions once per distinct
+    sink module; the probabilities are identical either way. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,12 @@ type forest = {
   sinks : Clocktree.Sink.t array;
   grow : Clocktree.Grow.t;
   enables : Enable.grown option array;
+  (* Per-root Eq. (3) terms, set when the root becomes active: P(EN) and
+     the enable star term (Cost.control_sc), so a cost evaluation reads
+     floats only. *)
+  p : float array;
+  ctrl : float array;
+  lengths : float array; (* ea, eb of the evaluation in progress *)
 }
 
 let bare (config : Config.t) profile sinks =
@@ -19,11 +25,28 @@ let bare (config : Config.t) profile sinks =
       sinks
   in
   (* Enables grow alongside the forest: entry v is node v's enable. *)
-  { config; profile; sinks; grow; enables = Array.make ((2 * n) - 1) None }
+  let size = (2 * n) - 1 in
+  {
+    config;
+    profile;
+    sinks;
+    grow;
+    enables = Array.make size None;
+    p = Array.make size 0.0;
+    ctrl = Array.make size 0.0;
+    lengths = [| 0.0; 0.0 |];
+  }
+
+let set_enable t v (g : Enable.grown) =
+  t.enables.(v) <- Some g;
+  let e = g.Enable.enable in
+  t.p.(v) <- e.Enable.p;
+  t.ctrl.(v) <-
+    Cost.control_sc t.config ~mid:(Clocktree.Grow.center_point t.grow v) ~ptr:e.Enable.ptr
 
 let forest config profile sinks =
   let t = bare config profile sinks in
-  Array.iteri (fun v s -> t.enables.(v) <- Some (Enable.grow_sink profile s)) sinks;
+  Array.iteri (set_enable t) (Enable.grow_sinks profile sinks);
   t
 
 let grow t = t.grow
@@ -35,21 +58,22 @@ let grown t v =
 
 let enable t v = (grown t v).Enable.enable
 
-let adopt_enable t v e = t.enables.(v) <- Some (Enable.adopt e)
+let adopt_enable t v e = set_enable t v (Enable.adopt e)
+
+let has_enable t v = ignore (grown t v : Enable.grown)
 
 let cost t a b =
-  let split = Clocktree.Grow.peek_split t.grow a b in
-  Cost.merge_sc t.config ~ea:split.Clocktree.Zskew.ea ~eb:split.Clocktree.Zskew.eb
-    ~mid_a:(Clocktree.Grow.center_point t.grow a)
-    ~mid_b:(Clocktree.Grow.center_point t.grow b)
-    ~enable_a:(enable t a) ~enable_b:(enable t b)
+  Clocktree.Grow.peek_lengths t.grow a b t.lengths;
+  has_enable t a;
+  has_enable t b;
+  Cost.merge_sc_columns t.config ~lengths:t.lengths ~p:t.p ~ctrl:t.ctrl a b
 
 (* A consumed root's signature is never read again: drop it so only the
    active roots' signatures stay live. *)
 let merge t a b =
   let k = Clocktree.Grow.merge t.grow a b in
   let ga = grown t a and gb = grown t b in
-  t.enables.(k) <- Some (Enable.grow_merge t.profile ga gb);
+  set_enable t k (Enable.grow_merge t.profile ga gb);
   t.enables.(a) <- Some (Enable.adopt ga.Enable.enable);
   t.enables.(b) <- Some (Enable.adopt gb.Enable.enable);
   k
@@ -67,10 +91,10 @@ let source t (view : Clocktree.Greedy.view) =
   let c = t.config.Config.tech.Clocktree.Tech.unit_cap in
   let idx = Clocktree.Spatial.for_sinks ~capacity:((2 * n) - 1) t.sinks in
   let activate v =
-    let e = enable t v in
+    has_enable t v;
     Clocktree.Spatial.insert idx v (Clocktree.Grow.region t.grow v)
-      ~k:(Cost.merge_sc_fixed t.config ~mid:(Clocktree.Grow.center_point t.grow v) ~enable:e)
-      ~p:e.Enable.p
+      ~k:(Cost.merge_sc_fixed t.config ~p:t.p.(v) ~ctrl:t.ctrl.(v))
+      ~p:t.p.(v)
   in
   for v = 0 to n - 1 do
     activate v

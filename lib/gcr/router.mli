@@ -15,9 +15,12 @@
     [K(q) + K(u) + c min(P_q, P_u) d(q,u)] ({!Cost.merge_sc_fixed}) and
     costs few partners (r1: 7-10 per query up to 4000 sinks, 21 at
     10^4), so the loop is ~O(N log N) cost evaluations and pyramid steps
-    on realistic placements. A merge ORs the two roots' instruction-hit
-    signatures, O(W) in their word count. The answer is the exhaustive
-    scan's, ties included, so the trees are too. *)
+    on realistic placements. An evaluation reads per-root float columns
+    and allocates only its boxed result and distance. A merge ORs the
+    two roots' instruction-hit signatures, O(W) in their word count, and
+    the sinks' signatures cost one instruction scan per distinct module.
+    The answer is the exhaustive scan's, ties included, so the trees are
+    too. *)
 
 val route :
   ?skew_budget:float ->
@@ -44,12 +47,14 @@ val route_topology_only :
 type forest
 (** A growing forest of zero-skew subtrees with the paper's Eq. (3)
     enable bookkeeping alongside ({!Clocktree.Grow} + per-root
-    {!Enable}). *)
+    {!Enable}, plus each root's [P] and enable star term as floats,
+    set when the root becomes active). *)
 
 val forest :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> forest
-(** Fresh forest, every sink its own root. Raises [Invalid_argument] on a
-    mis-indexed sink array. *)
+(** Fresh forest, every sink its own root. Sinks of one module share one
+    enable and signature ({!Enable.grow_sinks}). Raises
+    [Invalid_argument] on a mis-indexed sink array. *)
 
 val bare :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> forest
@@ -74,7 +79,12 @@ val adopt_enable : forest -> int -> Enable.t -> unit
 val cost : forest -> int -> int -> float
 (** Eq. (3) merge switched capacitance of tentatively merging two active
     roots: clock-tree term from a tentative zero-skew split plus the
-    controller star term from the sector midpoints. *)
+    controller star term from the sector midpoints. Bit for bit
+    {!Cost.merge_sc} over {!Clocktree.Grow.peek_split}, the midpoints and
+    the enables, but computed from float columns
+    ({!Clocktree.Grow.peek_lengths}, {!Cost.merge_sc_columns}) without
+    building a split, a point or an enable. Raises [Invalid_argument]
+    if either id is not an active root or has no enable. *)
 
 val merge : forest -> int -> int -> int
 (** Commit a merge (Grow + enable union); returns the new root id. *)

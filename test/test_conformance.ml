@@ -452,27 +452,33 @@ let test_router_tie_goes_to_lower_rank () =
   | _ -> Alcotest.fail "expected two merges");
   Conformance.Oracles.router_matches_scan config profile sinks
 
+let obs_count report name =
+  Option.value ~default:0 (List.assoc_opt name report.Util.Obs.counters)
+
+(* Per query: cost evaluations and pyramid cells; per evaluation: the
+   minor words the whole route allocated, forest included. *)
 let greedy_counts n =
   let c = r1_case n in
+  let words0 = Gc.minor_words () in
   let _, report =
     Util.Obs.run (fun () ->
         Gcr.Router.route_topology_only c.Benchmarks.Suite.config
           c.Benchmarks.Suite.profile c.Benchmarks.Suite.sinks)
   in
-  let count name =
-    float_of_int
-      (Option.value ~default:0 (List.assoc_opt name report.Util.Obs.counters))
-  in
-  let queries = count "greedy.queries" in
-  (count "greedy.cost_evals" /. queries, count "greedy.cells_visited" /. queries)
+  let words = Gc.minor_words () -. words0 in
+  let count name = float_of_int (obs_count report name) in
+  let queries = count "greedy.queries" and evals = count "greedy.cost_evals" in
+  (evals /. queries, count "greedy.cells_visited" /. queries, words /. evals)
 
 (* The index costs about ten partners per query whatever n is (an
    exhaustive scan costs hundreds to thousands), and the pyramid walk
-   grows no faster than the tree is deep. *)
+   grows no faster than the tree is deep. An evaluation builds no record,
+   tuple, point or enable, so the whole route allocates ~31 words per
+   evaluation at 1000 sinks. *)
 let test_router_work_per_query () =
-  let costs_1k, cells_1k = greedy_counts 1000 in
-  let costs_2k, _ = greedy_counts 2000 in
-  let _, cells_4k = greedy_counts 4000 in
+  let costs_1k, cells_1k, words_1k = greedy_counts 1000 in
+  let costs_2k, _, _ = greedy_counts 2000 in
+  let _, cells_4k, _ = greedy_counts 4000 in
   List.iter
     (fun (n, costs) ->
       Alcotest.(check bool)
@@ -483,7 +489,45 @@ let test_router_work_per_query () =
   Alcotest.(check bool)
     (Printf.sprintf "cells per query %.1f at 4000 <= 1.5 x %.1f at 1000" cells_4k cells_1k)
     true
-    (cells_1k > 0.0 && cells_4k <= 1.5 *. cells_1k)
+    (cells_1k > 0.0 && cells_4k <= 1.5 *. cells_1k);
+  Alcotest.(check bool)
+    (Printf.sprintf "r1 at 1000: %.1f minor words per evaluation <= 40" words_1k)
+    true
+    (words_1k > 0.0 && words_1k <= 40.0)
+
+(* Sinks of one module share one signature: a flat route scans the
+   instructions once per distinct module for its forest and once more
+   in Gated_tree.build; a sharded route once per distinct module of each
+   region, plus the build's, plus one per stitch merge (the adopted
+   region roots carry no signature, so their union is scanned). *)
+let test_signatures_once_per_module () =
+  let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:2000 in
+  let c = Benchmarks.Suite.case_grouped spec in
+  let config = c.Benchmarks.Suite.config
+  and profile = c.Benchmarks.Suite.profile
+  and sinks = c.Benchmarks.Suite.sinks in
+  let distinct idxs =
+    List.length
+      (List.sort_uniq Int.compare
+         (Array.to_list (Array.map (fun i -> sinks.(i).Clocktree.Sink.module_id) idxs)))
+  in
+  let all = distinct (Array.init (Array.length sinks) Fun.id) in
+  let sets f = obs_count (snd (Util.Obs.run f)) "signature.sets" in
+  let flat = sets (fun () -> ignore (Gcr.Router.route config profile sinks)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "flat: %d sets <= 2 x %d modules" flat all)
+    true
+    (flat > 0 && flat <= 2 * all);
+  let regions = (Gcr.Shard_router.plan ~shards:8 config profile sinks).Gcr.Shard_router.regions in
+  let bound =
+    all + (Array.length regions - 1)
+    + Array.fold_left (fun acc r -> acc + distinct r) 0 regions
+  in
+  let sharded = sets (fun () -> ignore (Gcr.Shard_router.route ~shards:8 config profile sinks)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sharded: %d sets <= %d" sharded bound)
+    true
+    (sharded > 0 && sharded <= bound)
 
 let () =
   Alcotest.run "conformance"
@@ -535,5 +579,7 @@ let () =
             test_router_tie_goes_to_lower_rank;
           Alcotest.test_case "work per query stays flat" `Quick
             test_router_work_per_query;
+          Alcotest.test_case "signatures once per module" `Quick
+            test_signatures_once_per_module;
         ] );
     ]

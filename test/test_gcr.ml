@@ -295,6 +295,89 @@ let test_router_prefers_low_activity_pair () =
   Alcotest.(check bool) "quiet sinks merged first" true
     (Clocktree.Topo.children tree.Gcr.Gated_tree.topo 4 = Some (0, 1))
 
+(* Router.cost reads per-root columns instead of building a split, two
+   points and two enables; it must equal Cost.merge_sc over
+   Grow.peek_split bit for bit. Sinks 0 and 1 sit 0.5 um apart with
+   caps 5 and 400 fF, so (1, 0) snakes sink 0's wire and (0, 1) sink
+   1's; sink 2 is far from sink 0 with the same cap, so (0, 2) splits
+   without snaking. The rest are random, in four modules of unequal P,
+   under one controller or four. Every ordered pair of active roots is
+   compared, then a random pair merges, down to one root. *)
+let prop_router_cost_matches_merge_sc =
+  QCheck.Test.make ~name:"cost = Cost.merge_sc over Grow.peek_split, bit for bit"
+    ~count:40
+    QCheck.(triple (int_range 3 14) (int_range 0 1_000_000) bool)
+    (fun (n, seed, four) ->
+      let prng = Util.Prng.create seed in
+      let side = 1000.0 in
+      let fixed = [| (100.0, 100.0, 5.0); (100.5, 100.0, 400.0); (900.0, 900.0, 5.0) |] in
+      let sinks =
+        Array.init n (fun id ->
+            let x, y, cap =
+              if id < 3 then fixed.(id)
+              else
+                ( Util.Prng.range prng 0.0 side,
+                  Util.Prng.range prng 0.0 side,
+                  Util.Prng.range prng 1.0 400.0 )
+            in
+            mk_sink id x y cap (Util.Prng.int prng 4))
+      in
+      let profile =
+        Benchmarks.Workload.profile ~n_modules:4 ~n_instructions:12 ~usage:0.4
+          ~stream_length:300 ~seed:(seed + 1) ()
+      in
+      let die = Geometry.Bbox.square ~side in
+      let controller = Gcr.Controller.distributed die ~k:(if four then 4 else 1) in
+      let config = Gcr.Config.make ~controller ~die () in
+      let f = Gcr.Router.forest config profile sinks in
+      let g = Gcr.Router.grow f in
+      let sides = Hashtbl.create 3 in
+      let check a b =
+        let split = Clocktree.Grow.peek_split g a b in
+        Hashtbl.replace sides split.Clocktree.Zskew.snaked ();
+        let reference =
+          Gcr.Cost.merge_sc config ~ea:split.Clocktree.Zskew.ea ~eb:split.Clocktree.Zskew.eb
+            ~mid_a:(Clocktree.Grow.center_point g a)
+            ~mid_b:(Clocktree.Grow.center_point g b)
+            ~enable_a:(Gcr.Router.enable f a) ~enable_b:(Gcr.Router.enable f b)
+        in
+        Int64.equal (Int64.bits_of_float (Gcr.Router.cost f a b))
+          (Int64.bits_of_float reference)
+      in
+      let ok = ref true in
+      while Clocktree.Grow.n_active g > 1 do
+        let roots = Array.of_list (Clocktree.Grow.active g) in
+        Array.iter
+          (fun a -> Array.iter (fun b -> if a <> b && not (check a b) then ok := false) roots)
+          roots;
+        let i = Util.Prng.int prng (Array.length roots) in
+        let j = (i + 1 + Util.Prng.int prng (Array.length roots - 1)) mod Array.length roots in
+        ignore (Gcr.Router.merge f (min roots.(i) roots.(j)) (max roots.(i) roots.(j)) : int)
+      done;
+      !ok
+      && List.for_all (Hashtbl.mem sides)
+           [ Clocktree.Zskew.No_snake; Clocktree.Zskew.Snake_a; Clocktree.Zskew.Snake_b ])
+
+(* Float.max is gone from Arena.dist, but a NaN coordinate still yields a
+   NaN distance, which the zero-skew split rejects: the evaluation ends
+   in Invalid_argument, a typed Degenerate_input at a stage boundary. *)
+let test_router_nan_region_typed_error () =
+  let config, profile, sinks = setup ~n:3 () in
+  sinks.(1) <- { (sinks.(1)) with Clocktree.Sink.loc = pt Float.nan 20.0 };
+  let f = Gcr.Router.forest config profile sinks in
+  Alcotest.(check bool) "NaN distance" true
+    (Float.is_nan (Clocktree.Grow.dist (Gcr.Router.grow f) 1 0));
+  let typed what thunk =
+    match thunk () with
+    | _ -> Alcotest.failf "%s: a NaN region was costed" what
+    | exception e -> (
+      match Util.Gcr_error.of_exn ~stage:"route" e with
+      | Util.Gcr_error.Degenerate_input _ -> ()
+      | err -> Alcotest.failf "%s: %s" what (Util.Gcr_error.to_string err))
+  in
+  typed "cost" (fun () -> Gcr.Router.cost f 1 0);
+  typed "route" (fun () -> Gcr.Router.route_topology_only config profile sinks)
+
 let test_buffered_baseline () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Buffered.route config profile sinks in
@@ -1262,6 +1345,9 @@ let () =
           Alcotest.test_case "prefers low-activity pair" `Quick test_router_prefers_low_activity_pair;
           Alcotest.test_case "buffered baseline" `Quick test_buffered_baseline;
           Alcotest.test_case "ungated baseline" `Quick test_ungated_baseline;
+          qt prop_router_cost_matches_merge_sc;
+          Alcotest.test_case "NaN region is a typed error" `Quick
+            test_router_nan_region_typed_error;
         ] );
       ( "gate_reduction",
         [
