@@ -1086,6 +1086,35 @@ module Byte_ref = struct
     float_of_int (sum2_xor t now next) /. float_of_int t.total
 end
 
+(* The leaf-signature construction [Signature.of_set] replaced: test
+   every instruction's used-module set against the set, then read every
+   IMATT row's two instructions bit by bit. Kept here (not in lib/) for
+   a same-run A/B against the transposed-table build, which must
+   produce the same words. *)
+module Scan_ref = struct
+  let words_for n = max 1 ((n + 61) / 62)
+
+  let set_bit words i = words.(i / 62) <- words.(i / 62) lor (1 lsl (i mod 62))
+
+  let get_bit words i = words.(i / 62) land (1 lsl (i mod 62)) <> 0
+
+  let of_set rtl (rows : Activity.Imatt.row array) set =
+    let k = Activity.Rtl.n_instructions rtl and n_rows = Array.length rows in
+    let hits = Array.make (words_for k) 0 in
+    for i = 0 to k - 1 do
+      if Activity.Module_set.intersects (Activity.Rtl.uses rtl i) set then
+        set_bit hits i
+    done;
+    let now = Array.make (words_for n_rows) 0
+    and next = Array.make (words_for n_rows) 0 in
+    for r = 0 to n_rows - 1 do
+      if get_bit hits rows.(r).Activity.Imatt.first then set_bit now r;
+      if get_bit hits rows.(r).Activity.Imatt.second then set_bit next r
+    done;
+    let tog = Array.mapi (fun w x -> x lxor next.(w)) now in
+    { Activity.Signature.hits; now; next; tog }
+end
+
 let kernel_micro () =
   section "Probability kernels: table scans vs byte tables vs popcount planes";
   let open Util.Text_table in
@@ -1113,6 +1142,10 @@ let kernel_micro () =
         done;
         !s)
   in
+  (* The probe signatures are built in one pass on a freshly collected
+     heap, so where they land (which moves the scalar rows) does not
+     depend on what the sections before this one left behind. *)
+  Gc.compact ();
   let sigs = Array.map (Activity.Signature.of_set kern) sets in
   let k_instr = Activity.Rtl.n_instructions (Activity.Ift.rtl ift) in
   let rows = Activity.Imatt.rows imatt in
@@ -1138,7 +1171,12 @@ let kernel_micro () =
       sigs
   in
   (* Same-run honesty check: every kernel on every probe set computes the
-     same float as the table scans, bit for bit. *)
+     same float as the table scans, bit for bit, and the signatures hold
+     the same words as the replaced scan. *)
+  let scan_rtl = Activity.Ift.rtl ift in
+  Array.iteri
+    (fun i set -> assert (sigs.(i) = Scan_ref.of_set scan_rtl rows set))
+    sets;
   let outs = Array.make n_sets 0.0 and outs2 = Array.make n_sets 0.0 in
   Activity.Signature.p_batch kern sigs outs;
   Activity.Signature.ptr_batch kern sigs outs2;
@@ -1180,8 +1218,18 @@ let kernel_micro () =
       Array.unsafe_set out i (f i)
     done
   in
+  let build f =
+   fun () ->
+    for i = 0 to n_sets - 1 do
+      ignore (Sys.opaque_identity (f sets.(i)))
+    done
+  in
   let kernel_rows =
     [
+      ("of_set_scan_ns", "use-set + row scan of_set (replaced design)",
+       per_query (build (Scan_ref.of_set scan_rtl rows)));
+      ("sig_of_set_ns", "Signature.of_set (transposed tables)",
+       per_query (build (Activity.Signature.of_set kern)));
       ("p_any_ns", "Ift.p_any (table scan)",
        per_query (fill (fun i -> Activity.Ift.p_any ift sets.(i))));
       ("ref_p_ns", "byte tables P (replaced design)",
@@ -1225,7 +1273,8 @@ let kernel_micro () =
   record "kernel_micro" (Buffer.contents js);
   pf "\nAll rows answer the same queries over the same %d probe sets;\n" n_sets;
   pf "every kernel's floats were asserted bit-for-bit equal to the table\n";
-  pf "scans before timing. sig_*_ns rows are the batched entry points the\n";
+  pf "scans before timing, and every signature's words to the replaced\n";
+  pf "of_set scan's. sig_*_ns rows are the batched entry points the\n";
   pf "router actually calls; *_scalar_ns are the one-query forms.\n"
 
 (* ------------------------------------------------------------------ *)

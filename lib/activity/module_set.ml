@@ -47,15 +47,30 @@ let check_universe name a b =
   if a.n <> b.n then
     invalid_arg (Printf.sprintf "Module_set.%s: universe mismatch (%d vs %d)" name a.n b.n)
 
-let map2 name op a b =
-  check_universe name a b;
-  { n = a.n; bits = Array.init (Array.length a.bits) (fun i -> op a.bits.(i) b.bits.(i)) }
+(* Plain word loops over a copy of [a]: no closure call per word. *)
+let union a b =
+  check_universe "union" a b;
+  let bits = Array.copy a.bits in
+  for i = 0 to Array.length bits - 1 do
+    bits.(i) <- bits.(i) lor b.bits.(i)
+  done;
+  { n = a.n; bits }
 
-let union a b = map2 "union" ( lor ) a b
+let inter a b =
+  check_universe "inter" a b;
+  let bits = Array.copy a.bits in
+  for i = 0 to Array.length bits - 1 do
+    bits.(i) <- bits.(i) land b.bits.(i)
+  done;
+  { n = a.n; bits }
 
-let inter a b = map2 "inter" ( land ) a b
-
-let diff a b = map2 "diff" (fun x y -> x land lnot y) a b
+let diff a b =
+  check_universe "diff" a b;
+  let bits = Array.copy a.bits in
+  for i = 0 to Array.length bits - 1 do
+    bits.(i) <- bits.(i) land lnot b.bits.(i)
+  done;
+  { n = a.n; bits }
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.bits
 
@@ -87,14 +102,23 @@ let compare a b =
 
 let hash s = Hashtbl.hash (s.n, s.bits)
 
+(* Members come from the set bits themselves, word by word and lowest
+   bit first (so in ascending order): zero words cost one test, and no
+   universe member is probed with [mem]. *)
+let iter f s =
+  for w = 0 to Array.length s.bits - 1 do
+    let x = ref s.bits.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      f ((w * bits_per_word) + Util.Popcnt.count (low - 1));
+      x := !x lxor low
+    done
+  done
+
 let fold f s init =
   let acc = ref init in
-  for m = 0 to s.n - 1 do
-    if mem s m then acc := f m !acc
-  done;
+  iter (fun m -> acc := f m !acc) s;
   !acc
-
-let iter f s = fold (fun m () -> f m) s ()
 
 let to_list s = List.rev (fold (fun m acc -> m :: acc) s [])
 

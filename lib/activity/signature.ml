@@ -39,8 +39,12 @@ type kernel = {
   n_rows : int; (* IMATT rows with positive count *)
   hwords : int;
   rwords : int;
-  row_first : int array;
-  row_second : int array;
+  (* The transposed tables {!of_set} ORs together; both depend only on
+     the RTL and the row set, so patch_kernel keeps them. The row masks
+     are also the kernel's record of the row set. *)
+  mod_cols : int array; (* n_modules * hwords: column m is H({m}) *)
+  first_masks : int array; (* k * rwords: rows whose first instruction is i *)
+  second_masks : int array; (* k * rwords: rows whose second instruction is i *)
   total : int; (* IFT cycles *)
   total_pairs : int; (* IMATT pairs *)
   p_np : int; (* low-weight planes for instruction counts *)
@@ -217,13 +221,6 @@ let symm_diff_ml a b =
 (* Kernel construction.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let set_bit words i =
-  words.(i / bits_per_word) <-
-    words.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
-
-let get_bit words i =
-  words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
-
 let same_rtl a b =
   a == b
   || Rtl.n_modules a = Rtl.n_modules b
@@ -306,6 +303,35 @@ let build_arena ~rho nwords n weight_of =
     end
   done;
   (np, arena)
+
+(* Column [m] (words [m * hwords ..]) is H({m}): bit [i] set iff module
+   [m] is in uses(I_i). One pass over the use sets' members. *)
+let module_columns rtl k hwords =
+  let cols = Array.make (Rtl.n_modules rtl * hwords) 0 in
+  for i = 0 to k - 1 do
+    let w = i / bits_per_word and bit = 1 lsl (i mod bits_per_word) in
+    Module_set.iter
+      (fun m ->
+        let j = (m * hwords) + w in
+        cols.(j) <- cols.(j) lor bit)
+      (Rtl.uses rtl i)
+  done;
+  cols
+
+(* Mask [i] (words [i * rwords ..]) holds the rows [r] with
+   [instr_of_row rows.(r) = i]. One pass over the rows. *)
+let row_masks k rwords rows instr_of_row =
+  let masks = Array.make (k * rwords) 0 in
+  Array.iteri
+    (fun r row ->
+      let j = (instr_of_row row * rwords) + (r / bits_per_word) in
+      masks.(j) <- masks.(j) lor (1 lsl (r mod bits_per_word)))
+    rows;
+  masks
+
+let row_bit masks rwords i r =
+  masks.((i * rwords) + (r / bits_per_word)) land (1 lsl (r mod bits_per_word))
+  <> 0
 
 let default_use_c =
   match Sys.getenv_opt "GCR_SIG_KERNEL" with
@@ -418,8 +444,9 @@ let kernel ?(force_ocaml = false) ift imatt =
           n_rows;
           hwords;
           rwords;
-          row_first = Array.map (fun r -> r.Imatt.first) rows;
-          row_second = Array.map (fun r -> r.Imatt.second) rows;
+          mod_cols = module_columns rtl k hwords;
+          first_masks = row_masks k rwords rows (fun r -> r.Imatt.first);
+          second_masks = row_masks k rwords rows (fun r -> r.Imatt.second);
           total = Ift.total_cycles ift;
           total_pairs = Imatt.total_pairs imatt;
           p_np;
@@ -470,12 +497,15 @@ let patch_arena ~np nwords n arena weight_of =
     end
   done
 
+(* Each kernel row sits in exactly one first and one second mask, so a
+   row of the new table matches iff its bit is set in the masks of its
+   own two instructions. *)
 let same_row_set kern rows =
   Array.length rows = kern.n_rows
   && (let rec eq r =
         r >= kern.n_rows
-        || (rows.(r).Imatt.first = kern.row_first.(r)
-            && rows.(r).Imatt.second = kern.row_second.(r)
+        || (row_bit kern.first_masks kern.rwords rows.(r).Imatt.first r
+            && row_bit kern.second_masks kern.rwords rows.(r).Imatt.second r
             && eq (r + 1))
       in
       eq 0)
@@ -526,38 +556,58 @@ let create kern =
     tog = Array.make kern.rwords 0;
   }
 
+(* H(S) is the OR of S's module columns; NOW/NEXT are the ORs of the
+   row masks of H(S)'s set bits — the same words as testing every use
+   set against S and reading every row's two instructions, at a cost of
+   |S| column ORs plus one mask OR per hit instruction. *)
 let of_set kern set =
   if Module_set.universe_size set <> Rtl.n_modules kern.rtl then
     invalid_arg "Signature.of_set: universe mismatch";
   Util.Obs.incr sets_counter;
   let s = create kern in
-  for i = 0 to kern.k - 1 do
-    if Module_set.intersects (Rtl.uses kern.rtl i) set then set_bit s.hits i
+  let hits = s.hits and hwords = kern.hwords and cols = kern.mod_cols in
+  Module_set.iter
+    (fun m ->
+      let base = m * hwords in
+      for w = 0 to hwords - 1 do
+        hits.(w) <- hits.(w) lor cols.(base + w)
+      done)
+    set;
+  let now = s.now and next = s.next and rwords = kern.rwords in
+  for w = 0 to hwords - 1 do
+    let x = ref hits.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      let base = ((w * bits_per_word) + Util.Popcnt.count (low - 1)) * rwords in
+      for r = 0 to rwords - 1 do
+        now.(r) <- now.(r) lor kern.first_masks.(base + r);
+        next.(r) <- next.(r) lor kern.second_masks.(base + r)
+      done;
+      x := !x lxor low
+    done
   done;
-  (* Row bits are instruction-hit lookups, not module-set scans. *)
-  for r = 0 to kern.n_rows - 1 do
-    if get_bit s.hits kern.row_first.(r) then set_bit s.now r;
-    if get_bit s.hits kern.row_second.(r) then set_bit s.next r
-  done;
-  for w = 0 to kern.rwords - 1 do
-    s.tog.(w) <- s.now.(w) lxor s.next.(w)
+  for w = 0 to rwords - 1 do
+    s.tog.(w) <- now.(w) lxor next.(w)
   done;
   s
+
+let or_words x y =
+  let z = Array.copy x in
+  for w = 0 to Array.length z - 1 do
+    z.(w) <- z.(w) lor y.(w)
+  done;
+  z
 
 (* [tog] of a union is NOT tog_a lor tog_b — it must be recomputed from
    the unioned now/next words (a row toggles iff the union's bits
    differ). *)
 let union a b =
-  let now = Array.init (Array.length a.now) (fun w -> a.now.(w) lor b.now.(w))
-  and next =
-    Array.init (Array.length a.next) (fun w -> a.next.(w) lor b.next.(w))
-  in
-  {
-    hits = Array.init (Array.length a.hits) (fun w -> a.hits.(w) lor b.hits.(w));
-    now;
-    next;
-    tog = Array.init (Array.length now) (fun w -> now.(w) lxor next.(w));
-  }
+  let now = or_words a.now b.now and next = or_words a.next b.next in
+  let tog = Array.copy now in
+  for w = 0 to Array.length tog - 1 do
+    tog.(w) <- tog.(w) lxor next.(w)
+  done;
+  { hits = or_words a.hits b.hits; now; next; tog }
 
 (* The C kernels read signature word arrays unchecked, so every array an
    operation hands to C must be proven to match the kernel's geometry

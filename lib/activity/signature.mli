@@ -35,7 +35,9 @@
 
 type kernel
 (** The weight-plane arenas: per-instruction and per-IMATT-row, shared by
-    every signature derived from one profile. *)
+    every signature derived from one profile, plus the transposed
+    module-column and row-mask tables {!of_set} reads (O(n_modules ·
+    words(K) + K · words(rows)) words, immutable). *)
 
 type t = { hits : int array; now : int array; next : int array; tog : int array }
 (** The signature of one module set. [tog] caches [now lxor next] — the
@@ -80,9 +82,13 @@ val patch_kernel : kernel -> Ift.t -> Imatt.t -> kernel option
     re-run on the patched arenas. *)
 
 val of_set : kernel -> Module_set.t -> t
-(** Signature of a module set: one scan of the RTL's used-module sets
-    (the last time the module universe is touched). Raises
-    [Invalid_argument] on a universe mismatch. *)
+(** Signature of a module set, from two tables the kernel transposes
+    once: [H(S)] is the OR of the per-module columns [H({m})] over
+    [S]'s members, and [NOW]/[NEXT] are the ORs of the per-instruction
+    row masks (the rows whose first, resp. second, instruction is [i])
+    over [H(S)]'s set bits. Cost O(|S| · words(K) + hits · words(rows));
+    the words equal a scan of every used-module set against [S] and of
+    every IMATT row. Raises [Invalid_argument] on a universe mismatch. *)
 
 val create : kernel -> t
 (** An all-zero signature (the empty set). *)

@@ -1,7 +1,7 @@
 type t = { mods : Activity.Module_set.t; p : float; ptr : float }
 
 (* Sampled profiles answer through the instruction-hit signature kernel:
-   one pass over the K instructions builds the hit bitset, and both
+   the kernel's per-module columns build the hit bitset, and both
    probabilities fall out of weighted popcounts — the same integer hit
    counts the IFT/IMATT scans produce, divided identically, so the floats
    are bit-for-bit equal. Analytic profiles keep the closed-form path. *)
@@ -76,7 +76,7 @@ let compute_all profile topo sinks =
   match Activity.Profile.signature_kernel profile with
   | Some kern ->
     (* Bottom-up over signatures: a parent's hit bitset is the word-wise
-       OR of its children's, so only the leaves ever scan instructions,
+       OR of its children's, so only the leaves build one from modules,
        once per distinct module. Probabilities are filled afterwards by
        two batched kernel calls over the whole node array (bit-for-bit
        the per-node queries) instead of 2n scalar calls. *)

@@ -38,7 +38,7 @@ type grown = {
   enable : t;
   signature : Activity.Signature.t option;
       (** the enable's signature; [None] without a kernel, or when the
-          enable was adopted from elsewhere *)
+          enable was adopted without one *)
 }
 
 val adopt : t -> grown
@@ -46,8 +46,8 @@ val adopt : t -> grown
 
 val grow_sinks : Activity.Profile.t -> Clocktree.Sink.t array -> grown array
 (** {!of_sink} of every sink, keeping the signature. Each distinct
-    module is scanned once ([Signature.of_set]); its sinks share the
-    one immutable result. Raises as {!of_sink}. *)
+    module's signature is built once ([Signature.of_set]); its sinks
+    share the one immutable result. Raises as {!of_sink}. *)
 
 val grow_merge : Activity.Profile.t -> grown -> grown -> grown
 (** {!merge}: ORs the children's signatures when both carry one, and
@@ -58,7 +58,7 @@ val compute_all :
 (** Per-node enables for a whole topology, bottom-up. Sampled profiles
     propagate instruction-hit signatures up the tree (word-wise ORs plus
     weighted popcounts — see {!Activity.Signature}) instead of rescanning
-    the tables per node, and scan the instructions once per distinct
+    the tables per node, and build a leaf signature once per distinct
     sink module; the probabilities are identical either way. *)
 
 val pp : Format.formatter -> t -> unit

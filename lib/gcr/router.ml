@@ -58,7 +58,7 @@ let grown t v =
 
 let enable t v = (grown t v).Enable.enable
 
-let adopt_enable t v e = set_enable t v (Enable.adopt e)
+let adopt_enable = set_enable
 
 let has_enable t v = ignore (grown t v : Enable.grown)
 

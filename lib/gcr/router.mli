@@ -18,7 +18,8 @@
     on realistic placements. An evaluation reads per-root float columns
     and allocates only its boxed result and distance. A merge ORs the
     two roots' instruction-hit signatures, O(W) in their word count, and
-    the sinks' signatures cost one instruction scan per distinct module.
+    the sinks' signatures cost one {!Activity.Signature.of_set} per
+    distinct module.
     The answer is the exhaustive scan's, ties included, so the trees are
     too. *)
 
@@ -72,9 +73,15 @@ val enable : forest -> int -> Enable.t
 (** A node's enable. Raises [Invalid_argument] when it has none (a
     {!bare} forest's node that was never adopted or merged). *)
 
-val adopt_enable : forest -> int -> Enable.t -> unit
-(** Set a node's enable: the value {!merge} would have computed for it
-    in a forest that built the same subtree. *)
+val grown : forest -> int -> Enable.grown
+(** A node's enable with its signature ([None] for a root consumed by a
+    merge: only active roots keep theirs). Raises as {!enable}. *)
+
+val adopt_enable : forest -> int -> Enable.grown -> unit
+(** Set a node's enable and signature: the value {!merge} would have
+    computed for it in a forest that built the same subtree. With the
+    signature, later merges of the node OR it instead of rescanning the
+    instructions. *)
 
 val cost : forest -> int -> int -> float
 (** Eq. (3) merge switched capacitance of tentatively merging two active

@@ -75,7 +75,8 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
   in
   Util.Obs.add regions_counter (Array.length regions);
   let region_sinks = Array.map (Clocktree.Sink.subset sinks) regions in
-  (* Each worker hands back its merge list and its root's enable. *)
+  (* Each worker hands back its merge list and its root's enable with
+     its signature (immutable, so safe to read once the pool joins). *)
   let routed =
     Util.Obs.span ~name:"shard:route-regions" (fun () ->
         Util.Parallel.map_dyn ~domains:domains_n
@@ -84,7 +85,7 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
             let f = Router.forest config profile ls in
             Router.run f;
             let g = Router.grow f in
-            (Clocktree.Grow.merges g, Router.enable f (Clocktree.Grow.n_nodes g - 1)))
+            (Clocktree.Grow.merges g, Router.grown f (Clocktree.Grow.n_nodes g - 1)))
           region_sinks)
   in
   let region_merges = Array.map fst routed in
@@ -102,9 +103,10 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
            region router built — the global arena ends up holding every
            region tree side by side, children always created before
            parents. The replay is geometry only: no enable below a region
-           root is ever read again, and each root adopts the enable its
-           region computed, bit for bit what replaying its merges through
-           Router.merge would recompute over the same sinks. *)
+           root is ever read again, and each root adopts the enable and
+           signature its region computed, bit for bit what replaying its
+           merges through Router.merge would recompute over the same
+           sinks — so the stitch merges OR signatures too. *)
         let grow = Router.grow forest in
         let roots =
           Array.map2

@@ -16,8 +16,8 @@
     + {b Stitch}: replay every region's merge list into one global forest
       (a merge's split depends only on the two subtrees, so the replayed
       regions are exactly the trees the regions built; the replay is
-      geometry only, and each region root adopts the enable its region
-      computed), then greedy-merge the surviving region roots with the
+      geometry only, and each region root adopts the enable and
+      signature its region computed), then greedy-merge the surviving region roots with the
       same Eq. (3) cost — a top-level zero-skew merge meeting the same
       skew budget as a flat route, since skew is enforced by construction
       in {!Clocktree.Zskew}/{!Mseg}.

@@ -20,10 +20,18 @@
 
 type t
 
-val create : workers:int -> queue_cap:int -> unit -> t
+val create : ?hold:bool -> workers:int -> queue_cap:int -> unit -> t
 (** Spawn [workers] domains. [queue_cap] bounds jobs {e waiting} (in
     flight not counted). Raises [Invalid_argument] unless both are
-    positive. *)
+    positive.
+
+    [hold] (default [false]) is a test hook that makes admission under a
+    burst deterministic: {!create} returns once every worker waits for a
+    job, {!submit} returns only after an idle worker (if any) has taken
+    the job it accepted, and a worker that took a job starts it only
+    once {!submit} has turned a job away as [`Full] or {!drain} began.
+    A burst against [w] idle workers then admits exactly [w + queue_cap]
+    jobs before its first rejection. *)
 
 val workers : t -> int
 

@@ -12,6 +12,7 @@ type config = {
   paranoid : bool;
   cache_capacity : int;
   max_merge_steps : int option;
+  hold_workers : bool;
 }
 
 let default_config address =
@@ -27,6 +28,7 @@ let default_config address =
     paranoid = false;
     cache_capacity = 32;
     max_merge_steps = None;
+    hold_workers = false;
   }
 
 type stats = {
@@ -559,7 +561,10 @@ let run ?(stop = fun () -> false) ?on_ready cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listener, cleanup_addr = listener_of_address cfg.address in
-  let pool = Pool.create ~workers:cfg.workers ~queue_cap:cfg.queue_cap () in
+  let pool =
+    Pool.create ~hold:cfg.hold_workers ~workers:cfg.workers
+      ~queue_cap:cfg.queue_cap ()
+  in
   let cache = Cache.create ~capacity:cfg.cache_capacity () in
   let srv =
     {

@@ -45,6 +45,9 @@ type config = {
   paranoid : bool;  (** force {!Gcr.Flow.mode} [Paranoid] *)
   cache_capacity : int;  (** resident workloads ({!Cache}) *)
   max_merge_steps : int option;  (** request size limit, as merge steps *)
+  hold_workers : bool;
+      (** test hook, [false] by default: {!Pool.create}'s [hold], so a
+          burst is admitted deterministically *)
 }
 
 val default_config : address -> config

@@ -368,6 +368,30 @@ let prop_ptr_bounded_by_2min =
 (* Popcount, pair_count, Pcache                                       *)
 (* ------------------------------------------------------------------ *)
 
+let prop_ms_walk_matches_mem =
+  QCheck.Test.make ~name:"fold/iter/to_list = ascending mem scan" ~count:200
+    QCheck.(pair (oneofl [ 0; 1; 61; 62; 63; 124; 125 ]) (int_range 1 100_000))
+    (fun (n, seed) ->
+      let prng = Util.Prng.create seed in
+      let s =
+        match seed mod 4 with
+        | 0 -> Ms.empty n
+        | 1 -> Ms.full n
+        | _ ->
+          let density = Util.Prng.float prng 1.0 in
+          let s = ref (Ms.empty n) in
+          for m = 0 to n - 1 do
+            if Util.Prng.float prng 1.0 < density then s := Ms.add !s m
+          done;
+          !s
+      in
+      let naive = List.filter (Ms.mem s) (List.init n Fun.id) in
+      let iterated = ref [] in
+      Ms.iter (fun m -> iterated := m :: !iterated) s;
+      Ms.to_list s = naive
+      && Ms.fold (fun m acc -> m :: acc) s [] = List.rev naive
+      && !iterated = List.rev naive)
+
 let prop_ms_popcount =
   (* Kernighan-loop cardinal vs. counting members one by one *)
   QCheck.Test.make ~name:"cardinal = membership count" ~count:200
@@ -864,6 +888,87 @@ let prop_markov_matches_sampling =
       dp < 0.02 && dptr < 0.02)
 
 (* ------------------------------------------------------------------ *)
+(* of_set's transposed tables = the definitions, word for word        *)
+(* ------------------------------------------------------------------ *)
+
+(* A signature straight from the definitions, using nothing but
+   [Rtl.uses] and [Imatt.rows]: bit [i] of [hits] iff uses(I_i) meets the
+   set; row [r]'s NOW/NEXT bits are the hits of its first/second
+   instruction. *)
+let reference_signature rtl imatt set =
+  let words n = max 1 ((n + 61) / 62) in
+  let set_bit ws i = ws.(i / 62) <- ws.(i / 62) lor (1 lsl (i mod 62)) in
+  let k = Activity.Rtl.n_instructions rtl in
+  let hit = Array.init k (fun i -> Ms.intersects (Activity.Rtl.uses rtl i) set) in
+  let hits = Array.make (words k) 0 in
+  Array.iteri (fun i h -> if h then set_bit hits i) hit;
+  let rows = Activity.Imatt.rows imatt in
+  let now = Array.make (words (Array.length rows)) 0
+  and next = Array.make (words (Array.length rows)) 0 in
+  Array.iteri
+    (fun r (row : Activity.Imatt.row) ->
+      if hit.(row.first) then set_bit now r;
+      if hit.(row.second) then set_bit next r)
+    rows;
+  { Activity.Signature.hits; now; next; tog = Array.map2 ( lxor ) now next }
+
+let prop_signature_of_set_matches_definition =
+  QCheck.Test.make
+    ~name:"Signature.of_set words = use-set and row scan (also patched)"
+    ~count:80
+    QCheck.(triple (int_range 1 130) (int_range 1 150) (int_range 1 100_000))
+    (fun (k, n_modules, seed) ->
+      let prng = Util.Prng.create seed in
+      (* The top [unused] modules are in no use set; some instructions
+         use nothing at all. *)
+      let unused = Util.Prng.int prng ((n_modules / 3) + 1) in
+      let density = 0.02 +. Util.Prng.float prng 0.3 in
+      let uses =
+        Array.init k (fun _ ->
+            let s = ref (Ms.empty n_modules) in
+            if Util.Prng.float prng 1.0 >= 0.15 then
+              for m = 0 to n_modules - unused - 1 do
+                if Util.Prng.float prng 1.0 < density then s := Ms.add !s m
+              done;
+            !s)
+      in
+      let rtl = Activity.Rtl.make ~n_modules ~uses () in
+      (* A uniform stream, so K > 62 and n_rows > 62 both occur. *)
+      let len = 2 + Util.Prng.int prng 1500 in
+      let x =
+        Activity.Instr_stream.make rtl (Array.init len (fun _ -> Util.Prng.int prng k))
+      in
+      (* [x; x] already holds the pair [last x -> first x], so appending
+         a prefix of [x] moves counts only: the patch path. *)
+      let base = Activity.Instr_stream.concat [ x; x ] in
+      let grown =
+        Activity.Instr_stream.concat
+          [ base; Activity.Instr_stream.slice x ~pos:0 ~len:(1 + Util.Prng.int prng len) ]
+      in
+      let tables s = (Activity.Ift.build s, Activity.Imatt.build s) in
+      let ift, imatt = tables base in
+      let kern = Activity.Signature.kernel ift imatt in
+      let sets =
+        [ Ms.empty n_modules; Ms.full n_modules;
+          Ms.of_list n_modules
+            (List.init unused (fun j -> n_modules - 1 - j));
+          Ms.singleton n_modules (Util.Prng.int prng n_modules) ]
+        @ List.init 6 (fun _ -> random_set prng n_modules)
+      in
+      let agree kern imatt =
+        List.for_all
+          (fun set ->
+            Activity.Signature.of_set kern set = reference_signature rtl imatt set)
+          sets
+      in
+      agree kern imatt
+      &&
+      let ift', imatt' = tables grown in
+      match Activity.Signature.patch_kernel kern ift' imatt' with
+      | Some kern' -> agree kern' imatt'
+      | None -> QCheck.Test.fail_report "a counts-only update was not patched")
+
+(* ------------------------------------------------------------------ *)
 (* Streaming accumulation (Stream_update) and patched kernels         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1032,6 +1137,7 @@ let () =
           qt prop_ms_intersects_consistent;
           qt prop_ms_diff_disjoint;
           qt prop_ms_popcount;
+          qt prop_ms_walk_matches_mem;
         ] );
       ( "rtl",
         [
@@ -1090,6 +1196,7 @@ let () =
           qt prop_signature_c_matches_ocaml;
           qt prop_signature_set_algebra_matches_naive;
           qt prop_signature_word_boundary;
+          qt prop_signature_of_set_matches_definition;
           Alcotest.test_case "single instruction" `Quick test_signature_single_instruction;
           Alcotest.test_case "universe mismatch" `Quick test_signature_universe_mismatch;
           Alcotest.test_case "kernel cached" `Quick test_signature_kernel_cached;

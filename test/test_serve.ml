@@ -328,6 +328,25 @@ let test_pool_backpressure () =
   | _ -> Alcotest.fail "drained pool accepted a job");
   Alcotest.(check int) "no backstop errors" 0 (Serve.Pool.backstop_errors pool)
 
+(* The hold hook: the idle worker takes the first job before admission
+   goes on, and runs nothing until a job is turned away, so a burst
+   admits exactly workers + queue_cap jobs. *)
+let test_pool_hold () =
+  let pool = Serve.Pool.create ~hold:true ~workers:1 ~queue_cap:2 () in
+  let ran = Atomic.make 0 in
+  let job () = Atomic.incr ran in
+  for i = 1 to 3 do
+    match Serve.Pool.submit pool job with
+    | `Accepted -> ()
+    | _ -> Alcotest.failf "burst job %d rejected before the queue filled" i
+  done;
+  Alcotest.(check int) "held: nothing ran" 0 (Atomic.get ran);
+  (match Serve.Pool.submit pool job with
+  | `Full depth -> Alcotest.(check int) "reported depth" 2 depth
+  | _ -> Alcotest.fail "fourth job admitted past workers + queue_cap");
+  Serve.Pool.drain pool;
+  Alcotest.(check int) "accepted jobs all ran" 3 (Atomic.get ran)
+
 let test_pool_backstop_counts_raises () =
   let pool = Serve.Pool.create ~workers:2 ~queue_cap:8 () in
   (match Serve.Pool.submit pool (fun () -> failwith "escaped") with
@@ -436,7 +455,7 @@ let test_cache_audit_tripwire () =
 (* ------------------------------------------------------------------ *)
 
 let with_server ?(workers = 2) ?(queue_cap = 64) ?default_budget_ms
-    ?(cache_capacity = 32) f =
+    ?(cache_capacity = 32) ?(hold_workers = false) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gcr-test-%d-%d.sock" (Unix.getpid ()) (Thread.id (Thread.self ())))
@@ -449,6 +468,7 @@ let with_server ?(workers = 2) ?(queue_cap = 64) ?default_budget_ms
       queue_cap;
       default_budget_ms;
       cache_capacity;
+      hold_workers;
       read_timeout_s = 2.0;
     }
   in
@@ -564,12 +584,15 @@ let test_server_smoke_50 () =
 (* Overload: one worker, a 2-deep queue, and a burst of requests
    submitted faster than any route completes — some must be rejected
    immediately with resource-limit + a retry-after hint, and every
-   request must still get exactly one response. *)
+   request must still get exactly one response. The pool's hold hook
+   makes the worker take the first request before the queue fills and
+   start it only once a request was turned away, so at least three are
+   admitted and at least one rejected whatever the scheduling. *)
 let test_server_backpressure () =
   let scn = scenario_of_seed 200 in
   let burst = 20 in
   let (answered, backpressured), stats =
-    with_server ~workers:1 ~queue_cap:2 (fun addr ->
+    with_server ~workers:1 ~queue_cap:2 ~hold_workers:true (fun addr ->
         let c = Serve.Client.connect addr in
         Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
         let text = Conformance.Scenario.render scn in
@@ -777,6 +800,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "bounded admission" `Quick test_pool_backpressure;
+          Alcotest.test_case "hold hook admits a burst exactly" `Quick
+            test_pool_hold;
           Alcotest.test_case "backstop counts raises" `Quick
             test_pool_backstop_counts_raises;
         ] );
