@@ -5,10 +5,19 @@
    - [GCR_BENCH_ONLY=a,b]  run a comma-separated subset of sections
    - [GCR_BENCH_OUT=path]  where the assembled JSON document goes
 
-   `gcr bench` exposes the same knobs as proper flags. Unknown section
-   names exit 64 (usage error) after listing the known ones. *)
+   `gcr bench` exposes the same knobs as proper flags. Any command-line
+   argument, and any unknown section name, exits 64 (usage error): a flag
+   read as nothing would run the full suite and overwrite the tracked
+   BENCH_greedy.json. *)
 
 let () =
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline
+      "bench/main.exe takes no arguments (use `gcr bench --quick --only \
+       SECTION --out FILE`, or set GCR_BENCH_QUICK, GCR_BENCH_ONLY and \
+       GCR_BENCH_OUT)";
+    exit 64
+  end;
   let quick =
     match Sys.getenv_opt "GCR_BENCH_QUICK" with
     | None | Some "" | Some "0" -> false

@@ -31,8 +31,6 @@ let p_any t set =
   done;
   float_of_int !hits /. float_of_int t.total
 
-let p_module t m = p_any t (Module_set.singleton (Rtl.n_modules t.rtl) m)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iteri

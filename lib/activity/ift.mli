@@ -31,7 +31,4 @@ val p_any : t -> Module_set.t -> float
     active: the signal probability [P(EN)] of a gate whose subtree spans
     [s]. Raises [Invalid_argument] on a universe mismatch. *)
 
-val p_module : t -> int -> float
-(** [P(M_m)]: probability module [m] is active. *)
-
 val pp : Format.formatter -> t -> unit

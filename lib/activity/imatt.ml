@@ -87,9 +87,6 @@ let pair_count t ~first ~second =
   in
   go 0 (Array.length t.rows)
 
-let pair_prob t ~first ~second =
-  float_of_int (pair_count t ~first ~second) /. float_of_int t.total_pairs
-
 let toggles rtl ~first ~second set =
   let now = Module_set.intersects (Rtl.uses rtl first) set in
   let next = Module_set.intersects (Rtl.uses rtl second) set in

@@ -39,9 +39,6 @@ val rows : t -> row array
 
 val pair_count : t -> first:int -> second:int -> int
 
-val pair_prob : t -> first:int -> second:int -> float
-(** The table's probability column: [count / (B - 1)]. *)
-
 val toggles : Rtl.t -> first:int -> second:int -> Module_set.t -> bool
 (** Does the enable of module set [S] change value across this instruction
     pair? *)

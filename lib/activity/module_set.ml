@@ -97,11 +97,6 @@ let cardinal s =
 
 let equal a b = a.n = b.n && Array.for_all2 ( = ) a.bits b.bits
 
-let compare a b =
-  match Int.compare a.n b.n with 0 -> Stdlib.compare a.bits b.bits | c -> c
-
-let hash s = Hashtbl.hash (s.n, s.bits)
-
 (* Members come from the set bits themselves, word by word and lowest
    bit first (so in ascending order): zero words cost one test, and no
    universe member is probed with [mem]. *)

@@ -51,10 +51,6 @@ val cardinal : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val hash : t -> int
-
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over members in ascending order. *)
 

@@ -11,12 +11,15 @@
     been consumed. Candidate generation is pluggable: the default
     {!scan} source recomputes a root's best partner by scanning the
     active set (O(n) per query, O(n^2) total cost evaluations but O(n)
-    heap memory); a spatial source answers the query from a grid index
-    ({!Spatial.nearest} for the geometric cost of {!Nn},
-    {!Spatial.cheapest} for the paper's Eq. (3) in [Gcr.Router]),
-    bringing topology construction to ~O(n log n). The original
-    all-pairs seeding survives as {!merge_all_dense}, the reference
-    oracle the accelerated paths are validated against.
+    heap memory); {!bound_scan} walks the active set in order of a
+    per-root lower bound; a spatial source answers the query from the
+    grid index's one query, {!Spatial.cheapest} (for the geometric cost
+    of {!Nn} and for the paper's Eq. (3) in [Gcr.Router]), bringing
+    topology construction to ~O(n log n). The scan and the spatial
+    source both keep the first minimum in active order, so they merge
+    identically, ties included. The original all-pairs seeding survives
+    as {!merge_all_dense}, the reference oracle the accelerated paths
+    are validated against.
 
     Obs counters: [greedy.queries] (best-partner queries: seedings,
     one per merge, one per stale revalidation), [greedy.cost_evals]

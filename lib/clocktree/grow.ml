@@ -93,8 +93,6 @@ let merge t a b =
   t.n_active <- t.n_active - 1;
   k
 
-let subtree_wirelength t v = t.arena.Arena.wl.(v)
-
 let merges t = Array.sub t.merge_list 0 (t.arena.Arena.n_nodes - t.arena.Arena.n_sinks)
 
 let topology t =

@@ -58,9 +58,6 @@ val merge : t -> int -> int -> int
     [Invalid_argument] if either id is not an active root or both are the
     same. *)
 
-val subtree_wirelength : t -> int -> float
-(** Total wire length committed below a node so far. *)
-
 val merges : t -> (int * int) array
 (** Merge list so far, in commit order (feed to {!Topo.of_merges} once a
     single root remains). *)

@@ -65,7 +65,6 @@ let cap (t : t) v = t.Arena.cap.(v)
 let edge_len (t : t) v = t.Arena.edge_len.(v)
 let set_edge_len (t : t) v x = t.Arena.edge_len.(v) <- x
 let snaked = Arena.snaked
-let subtree_wirelength (t : t) v = t.Arena.wl.(v)
 let copy = Arena.copy
 
 let total_wirelength (t : t) =

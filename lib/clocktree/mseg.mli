@@ -42,9 +42,6 @@ val set_edge_len : t -> int -> float -> unit
 val snaked : t -> int -> bool
 (** Whether the edge above node [v] is elongated (snaked). *)
 
-val subtree_wirelength : t -> int -> float
-(** Total wire length of the subtree hanging below node [v]. *)
-
 val total_wirelength : t -> float
 (** Sum of all edge lengths (detour wire included). *)
 

@@ -5,9 +5,13 @@
     geometrically closest; with [edge_gate = Some tech.buffer] this yields
     the paper's "buffered clock tree" construction.
 
-    Candidate pairs come from a {!Spatial} grid index over merging-region
-    centers (~O(n log n) construction); {!topology_dense} runs the same
-    greedy on the all-pairs reference oracle instead. *)
+    Partners come from {!Spatial.cheapest}, the same pyramid walk the
+    Eq. (3) router queries, with the pure distance as the special case
+    [K = 0], [P = 1], [c = 1] of its cost-distance bound (~O(n log n)
+    construction). Exact distance ties go to the lower active rank, so
+    every merge is the one {!Greedy.merge_all}'s scan would make;
+    {!topology_dense} runs the same greedy on the all-pairs reference
+    oracle instead. *)
 
 val topology : Tech.t -> edge_gate:Tech.gate option -> Sink.t array -> Topo.t
 (** Build the complete topology (spatially accelerated). Raises
@@ -18,11 +22,6 @@ val topology_dense :
 (** Same construction on {!Greedy.merge_all_dense} — the O(n^2)-memory
     all-pairs path, kept as the validation oracle and benchmark baseline.
     Identical merge decisions up to cost ties. *)
-
-val spatial_source : Grow.t -> Sink.t array -> Greedy.source
-(** The grid-backed candidate source used by {!topology}, exposed for
-    engines that drive {!Greedy.merge_all} themselves with a purely
-    geometric cost ([Grow.dist] of the same forest). *)
 
 val embed :
   Tech.t ->

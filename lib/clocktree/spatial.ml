@@ -1,6 +1,7 @@
 (* Uniform grid over merging-region centers in the rotated (u, v) plane —
    the plane in which Rect lives and in which Rect.distance is the max of
-   per-axis interval gaps (an L-inf geometry). Cells are addressed by
+   per-axis interval gaps (an L-inf geometry). An id lives in the cell of
+   its region's center. Cells are addressed by
    integer coordinates with no fixed bounds: leaves are found through a
    hash table, so regions that drift outside the initial sink hull
    (snaking inflates merging regions) need no clamping and every pruning
@@ -49,21 +50,11 @@ type t = {
   base_u : int; (* cell coordinates + base = pyramid coordinates *)
   base_v : int;
   leaves : (int, int) Hashtbl.t; (* packed cell coords -> leaf node *)
-  cu : float array; (* region center, u *)
-  cv : float array; (* region center, v *)
-  half : float array; (* L-inf half-extent of the region *)
   own : float array; (* id's own aggregate, at id * slots *)
   leaf : int array; (* leaf node per id; -1 = absent *)
   next : int array; (* leaf member lists, most recent insert first *)
   prev : int array;
-  members : int array; (* swap-remove array of present ids *)
-  pos : int array; (* id -> index in [members] *)
-  mutable count : int;
-  mutable max_half : float; (* max half-extent ever inserted (monotone) *)
-  mutable clo : int; (* occupied cell bounding box, u axis *)
-  mutable chi : int;
-  mutable dlo : int; (* occupied cell bounding box, v axis *)
-  mutable dhi : int;
+  mutable count : int; (* present ids *)
   mutable nodes : node array;
   mutable n_nodes : int;
   mutable root : int; (* -1 while nothing was ever inserted *)
@@ -92,27 +83,17 @@ let make ~capacity ~cell ~base_u ~base_v =
   if capacity <= 0 then invalid_arg "Spatial.create: non-positive capacity";
   if not (Float.is_finite cell && cell > 0.0) then
     invalid_arg "Spatial.create: cell side must be positive and finite";
-  let floats () = Array.make capacity 0.0 and ints v = Array.make capacity v in
+  let ints v = Array.make capacity v in
   {
     cell;
     base_u;
     base_v;
     leaves = Hashtbl.create capacity;
-    cu = floats ();
-    cv = floats ();
-    half = floats ();
     own = Array.make (capacity * slots) 0.0;
     leaf = ints (-1);
     next = ints (-1);
     prev = ints (-1);
-    members = ints 0;
-    pos = ints (-1);
     count = 0;
-    max_half = 0.0;
-    clo = max_int;
-    chi = min_int;
-    dlo = max_int;
-    dhi = min_int;
     nodes = [||];
     n_nodes = 0;
     root = -1;
@@ -304,12 +285,6 @@ let insert ?(k = 0.0) ?(p = 0.0) t id (r : Geometry.Rect.t) =
   check_id "insert" t id;
   if t.leaf.(id) >= 0 then invalid_arg "Spatial.insert: id already present";
   let c = Geometry.Rect.center r in
-  let half =
-    0.5 *. Float.max (Geometry.Rect.width_u r) (Geometry.Rect.width_v r)
-  in
-  t.cu.(id) <- c.Geometry.Rot.u;
-  t.cv.(id) <- c.Geometry.Rot.v;
-  t.half.(id) <- half;
   let o = id * slots in
   t.own.(o + a_k) <- k;
   t.own.(o + a_p) <- p;
@@ -318,12 +293,7 @@ let insert ?(k = 0.0) ?(p = 0.0) t id (r : Geometry.Rect.t) =
   t.own.(o + a_vlo) <- r.Geometry.Rect.vlo;
   t.own.(o + a_vhi) <- r.Geometry.Rect.vhi;
   t.own.(o + a_id) <- float_of_int id;
-  if half > t.max_half then t.max_half <- half;
   let ku = cell_coord t c.Geometry.Rot.u and kv = cell_coord t c.Geometry.Rot.v in
-  if ku < t.clo then t.clo <- ku;
-  if ku > t.chi then t.chi <- ku;
-  if kv < t.dlo then t.dlo <- kv;
-  if kv > t.dhi then t.dhi <- kv;
   let l = leaf_for t ku kv in
   let nd = t.nodes.(l) in
   t.leaf.(id) <- l;
@@ -332,8 +302,6 @@ let insert ?(k = 0.0) ?(p = 0.0) t id (r : Geometry.Rect.t) =
   if nd.head >= 0 then t.prev.(nd.head) <- id;
   nd.head <- id;
   widen_up t l id;
-  t.members.(t.count) <- id;
-  t.pos.(id) <- t.count;
   t.count <- t.count + 1
 
 let remove t id =
@@ -346,97 +314,7 @@ let remove t id =
   if nx >= 0 then t.prev.(nx) <- p;
   t.leaf.(id) <- -1;
   shrink_up t l;
-  let i = t.pos.(id) in
-  let last = t.members.(t.count - 1) in
-  t.members.(i) <- last;
-  t.pos.(last) <- i;
-  t.pos.(id) <- -1;
   t.count <- t.count - 1
-
-let iter t f =
-  for i = 0 to t.count - 1 do
-    f t.members.(i)
-  done
-
-let iter_leaf t l f =
-  let u = ref t.nodes.(l).head in
-  while !u >= 0 do
-    let id = !u in
-    u := t.next.(id);
-    f id
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Nearest neighbour: ring walk                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Below this population a straight scan beats ring enumeration; it also
-   bounds the cost of the late merges, whose huge regions make the
-   geometric pruning slack useless anyway. *)
-let scan_threshold = 48
-
-let nearest t id ~dist =
-  check_id "nearest" t id;
-  if t.leaf.(id) < 0 then invalid_arg "Spatial.nearest: id not present";
-  if t.count <= 1 then None
-  else begin
-    let best_id = ref (-1) and best = ref infinity in
-    let consider j =
-      if j <> id then begin
-        let c = dist j in
-        if c < !best then begin
-          best := c;
-          best_id := j
-        end
-      end
-    in
-    if t.count <= scan_threshold then iter t consider
-    else begin
-      let qu = t.cu.(id) and qv = t.cv.(id) in
-      let ku = cell_coord t qu and kv = cell_coord t qv in
-      (* [dist j] >= chebyshev(center id, center j) - slack: the pruning
-         contract (see the mli). *)
-      let slack = t.half.(id) +. t.max_half in
-      let visit cu cv =
-        if cu >= t.clo && cu <= t.chi && cv >= t.dlo && cv <= t.dhi then
-          match Hashtbl.find_opt t.leaves (pack_cell cu cv) with
-          | None -> ()
-          | Some l -> iter_leaf t l consider
-      in
-      let d = ref 0 in
-      let finished = ref false in
-      while not !finished do
-        let dd = !d in
-        (* Any point in a cell at ring distance dd is at least
-           (dd - 1) * cell away from the query center. *)
-        if
-          !best_id >= 0
-          && (float_of_int (dd - 1) *. t.cell) -. slack > !best
-        then finished := true
-        else begin
-          if dd = 0 then visit ku kv
-          else begin
-            for cu = ku - dd to ku + dd do
-              visit cu (kv - dd);
-              visit cu (kv + dd)
-            done;
-            for cv = kv - dd + 1 to kv + dd - 1 do
-              visit (ku - dd) cv;
-              visit (ku + dd) cv
-            done
-          end;
-          (* Once the ring box swallows the occupied bounding box, every
-             bucket has been visited. *)
-          if
-            ku - dd <= t.clo && ku + dd >= t.chi && kv - dd <= t.dlo
-            && kv + dd >= t.dhi
-          then finished := true
-          else incr d
-        end
-      done
-    end;
-    if !best_id < 0 then None else Some (!best_id, !best)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cost-distance query: best-first pyramid walk                        *)

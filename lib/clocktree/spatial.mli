@@ -1,21 +1,16 @@
 (** Uniform-grid spatial index over merging regions.
 
     The greedy merge needs, for an active root, its minimum-cost partner.
-    Two queries answer that from the grid instead of a scan of the
-    active set:
-
-    - {!nearest}, for a purely geometric cost ({!Grow.dist}, an L-inf gap
-      in the rotated plane), enumerates expanding rings of cells around
-      the query and stops once no unvisited cell can beat the best
-      candidate — the nearest-neighbour topology's source.
-    - {!cheapest}, for a cost-distance cost such as the paper's Eq. (3),
-      walks a quadtree pyramid built over the cells best-first. Every
-      cell and every block of 2^l x 2^l cells keeps the minimum [K] and
-      minimum [P] of the ids below it and the bounding box of their
-      regions (which the cell inflated by its largest region half-extent
-      would only over-approximate). The walk stops once no unvisited
-      block can beat the best cost found, up to a relative 1e-9, and
-      costs a candidate only after its own lower bound passes.
+    One query, {!cheapest}, answers that from the grid instead of a scan
+    of the active set, for any cost-distance cost: the paper's Eq. (3)
+    in [Gcr.Router], and the pure region distance of {!Nn} as the special
+    case [K = 0], [P = 1], [c = 1]. It walks a quadtree pyramid built
+    over the cells best-first. Every cell and every block of 2^l x 2^l
+    cells keeps the minimum [K] and minimum [P] of the ids below it and
+    the bounding box of their regions. The walk stops once no unvisited
+    block can beat the best cost found, up to a relative 1e-9, and costs
+    a candidate only after its own lower bound passes. Exact cost ties
+    go to the lower rank, the one tie rule of every caller.
 
     The grid is unbounded (leaves are found through a hash table keyed by
     integer cell coordinates, and the pyramid's root grows upward), so
@@ -38,9 +33,9 @@ val for_sinks : capacity:int -> Sink.t array -> t
     non-positive capacity. *)
 
 val insert : ?k:float -> ?p:float -> t -> int -> Geometry.Rect.t -> unit
-(** Index a region under the given id: stores the region, its center and
-    L-inf half-extent, and the id's weights [k] and [p] (default 0; only
-    {!cheapest} reads them). Raises [Invalid_argument] if the id is out of
+(** Index a region under the given id, in the cell of its center, with
+    the id's weights [k] and [p] (default 0). With [p = 0] every bound
+    is [K q + K u], so a pure-distance caller passes [~p:1.0]. Raises [Invalid_argument] if the id is out of
     range or already present, or if the region's center lies some 2^24
     cells away from the cloud the index was made for. *)
 
@@ -50,20 +45,6 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 
 val cardinal : t -> int
-
-val iter : t -> (int -> unit) -> unit
-(** Visit every present id (unspecified order). *)
-
-val nearest : t -> int -> dist:(int -> float) -> (int * float) option
-(** [nearest t id ~dist] returns the present id [j <> id] minimizing
-    [dist j], with that minimal value, or [None] when [id] is alone.
-
-    Exactness contract: [dist j] must satisfy
-    [dist j >= chebyshev (center id) (center j) - half id - max_half]
-    where the centers and half-extents are the ones registered at insert
-    time and [max_half] is the largest half-extent ever inserted.
-    {!Grow.dist} (= [Rect.distance] of the indexed regions) satisfies
-    this. Raises [Invalid_argument] if [id] is not present. *)
 
 val cheapest :
   t ->

@@ -57,6 +57,7 @@ let check (sc : Scenario.t) =
   | Gcr.Flow.No_reduction | Gcr.Flow.Rules | Gcr.Flow.Fraction _ -> ());
   Oracles.reduce_matches_reference routed;
   Oracles.router_matches_scan config profile sc.Scenario.sinks;
+  Oracles.nn_matches_scan sc.Scenario.tech sc.Scenario.sinks;
   Oracles.engine_vs_dense sc;
   (match options.Gcr.Flow.shards with
   | Gcr.Flow.Flat -> ()

@@ -19,6 +19,8 @@ val check : Scenario.t -> unit
       greedy and count-targeted reducers pick the reference's gates;
     - {!Oracles.router_matches_scan} — the flat router's spatial index
       merges exactly as the exhaustive scan;
+    - {!Oracles.nn_matches_scan} — the nearest-neighbor topology merges
+      exactly as the exhaustive scan, with and without edge buffers;
     - {!Oracles.engine_vs_dense} and {!Oracles.domains_determinism}.
 
     Raises [Failure] (or the pipeline's own exception) on violation. *)

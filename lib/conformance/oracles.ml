@@ -293,6 +293,29 @@ let router_matches_scan (config : Gcr.Config.t) profile sinks =
           "merge %d: the index chose (%d, %d), the scan (%d, %d)" step x y u v)
     a
 
+let nn_matches_scan (tech : Clocktree.Tech.t) sinks =
+  let n = Array.length sinks in
+  List.iter
+    (fun edge_gate ->
+      let topo = Clocktree.Nn.topology tech ~edge_gate sinks in
+      let grow = Clocktree.Grow.create tech ~edge_gate sinks in
+      ignore
+        (Clocktree.Greedy.merge_all ~n ~cost:(Clocktree.Grow.dist grow)
+           ~merge:(Clocktree.Grow.merge grow)
+          : int);
+      Array.iteri
+        (fun step (u, v) ->
+          match Clocktree.Topo.children topo (n + step) with
+          | Some (x, y) when x = u && y = v -> ()
+          | got ->
+            let x, y = Option.value got ~default:(-1, -1) in
+            fail "nn_matches_scan"
+              "merge %d (%s): the index chose (%d, %d), the scan (%d, %d)" step
+              (if edge_gate = None then "no edge gate" else "buffered")
+              x y u v)
+        (Clocktree.Grow.merges grow))
+    [ None; Some tech.Clocktree.Tech.buffer ]
+
 let engine_vs_dense (sc : Scenario.t) =
   let config = Scenario.config sc in
   let profile = Scenario.profile sc in

@@ -69,6 +69,15 @@ val router_matches_scan :
     exhaustive scan source — over [Gcr.Router.cost] on a fresh forest.
     Exact, ties included: both keep the first minimum in active order. *)
 
+val nn_matches_scan : Clocktree.Tech.t -> Clocktree.Sink.t array -> unit
+(** Step-by-step exactness of the nearest-neighbor topology, with no
+    edge gate and with [tech]'s buffer on every edge:
+    {!Clocktree.Nn.topology}'s merge list must equal, merge for merge,
+    that of
+    {!Clocktree.Greedy.merge_all} — the exhaustive scan source — over
+    {!Clocktree.Grow.dist} on a fresh forest. Exact, ties included: both
+    keep the first minimum in active order. *)
+
 val engine_vs_dense : Scenario.t -> unit
 (** Per-step greedy optimality of both merge engines —
     {!Gcr.Activity_router.topology} (nearest-neighbor heap with

@@ -6,8 +6,6 @@ type t =
 
 let centralized die = Centralized (Geometry.Bbox.center die)
 
-let at p = Centralized p
-
 let distributed die ~k =
   if k <= 0 then invalid_arg "Controller.distributed: k must be positive";
   let grid = int_of_float (Float.round (sqrt (float_of_int k))) in

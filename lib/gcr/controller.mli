@@ -12,9 +12,6 @@ type t
 val centralized : Geometry.Bbox.t -> t
 (** One controller at the center of the die. *)
 
-val at : Geometry.Point.t -> t
-(** One controller at an explicit location. *)
-
 val distributed : Geometry.Bbox.t -> k:int -> t
 (** [k] controllers on a square grid; [k] must be a positive perfect
     square. The [k] sites are computed here, once. Raises

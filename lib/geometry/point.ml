@@ -2,8 +2,6 @@ type t = { x : float; y : float }
 
 let make x y = { x; y }
 
-let origin = { x = 0.0; y = 0.0 }
-
 let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
 
 let euclidean a b =

@@ -4,8 +4,6 @@ type t = { x : float; y : float }
 
 val make : float -> float -> t
 
-val origin : t
-
 val manhattan : t -> t -> float
 (** L1 (rectilinear wire-length) distance. *)
 

@@ -31,12 +31,6 @@ let clamp lo hi x = Float.min hi (Float.max lo x)
 let nearest_to r (p : Rot.t) : Rot.t =
   { u = clamp r.ulo r.uhi p.u; v = clamp r.vlo r.vhi p.v }
 
-let distance_to_rot r p = Rot.chebyshev p (nearest_to r p)
-
-let distance_to_point r p = distance_to_rot r (Rot.of_point p)
-
-let nearest_to_point r p = Rot.to_point (nearest_to r (Rot.of_point p))
-
 (* Nearest pair of two closed intervals: coincide on the overlap midpoint
    when they intersect, otherwise face each other across the gap. *)
 let interval_nearest alo ahi blo bhi =

@@ -34,18 +34,10 @@ val distance : t -> t -> float
 (** Chebyshev distance between the two sets (0 when they intersect) =
     minimum Manhattan distance between the chip-space regions. *)
 
-val distance_to_rot : t -> Rot.t -> float
-
-val distance_to_point : t -> Point.t -> float
-(** Minimum Manhattan distance from a chip-space point to the region. *)
-
 val nearest_to : t -> Rot.t -> Rot.t
 (** Closest point of the rectangle to the given rotated-frame point
     (componentwise clamp; unique for axis-aligned rectangles under L-inf
     up to the standard clamp convention). *)
-
-val nearest_to_point : t -> Point.t -> Point.t
-(** {!nearest_to} in chip space. *)
 
 val nearest_pair : t -> t -> Rot.t * Rot.t
 (** [(p, q)] with [p] in the first rectangle and [q] in the second realizing

@@ -120,5 +120,3 @@ let next d =
       end)
 
 let awaiting d = available d
-
-let stream_offset d = d.consumed + available d

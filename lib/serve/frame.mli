@@ -58,6 +58,3 @@ val awaiting : decoder -> int
 (** Bytes currently buffered toward an incomplete frame (0 when the
     decoder sits at a frame boundary). Nonzero at end-of-stream means the
     peer disconnected mid-frame. *)
-
-val stream_offset : decoder -> int
-(** Total bytes consumed from the stream so far (diagnostics). *)

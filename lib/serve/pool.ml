@@ -16,12 +16,6 @@ type t = {
   mutable released : bool; (* [hold]: a job was turned away as full *)
 }
 
-let depth t =
-  Mutex.lock t.mutex;
-  let d = Queue.length t.jobs in
-  Mutex.unlock t.mutex;
-  d
-
 let service_time_ms t = Atomic.get t.ewma_ns /. 1e6
 
 let backstop_errors t = Atomic.get t.backstop

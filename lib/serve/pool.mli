@@ -40,9 +40,6 @@ val submit :
 (** Enqueue a job, or reject: [`Full depth] when the queue is at
     capacity, [`Draining] after {!drain} began. Never blocks. *)
 
-val depth : t -> int
-(** Jobs currently queued (excluding in flight). *)
-
 val service_time_ms : t -> float
 (** Exponentially-weighted average job time, for retry-after hints; 0
     until the first job completes. *)

@@ -10,17 +10,11 @@ exception Error of t
 
 let raise_t t = raise (Error t)
 
-let parse ~file ~line ?(col = 0) fmt =
-  Printf.ksprintf (fun msg -> raise_t (Parse { file; line; col; msg })) fmt
-
 let degenerate ~what fmt =
   Printf.ksprintf (fun detail -> raise_t (Degenerate_input { what; detail })) fmt
 
 let numerical ~stage ~value fmt =
   Printf.ksprintf (fun context -> raise_t (Numerical { stage; value; context })) fmt
-
-let resource ~stage ~limit fmt =
-  Printf.ksprintf (fun detail -> raise_t (Resource_limit { stage; limit; detail })) fmt
 
 let mismatch ~stage fmt =
   Printf.ksprintf (fun detail -> raise_t (Engine_mismatch { stage; detail })) fmt

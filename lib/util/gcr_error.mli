@@ -29,14 +29,9 @@ exception Error of t
 
 val raise_t : t -> 'a
 
-val parse : file:string -> line:int -> ?col:int -> ('a, unit, string, 'b) format4 -> 'a
-(** Raise [Error (Parse …)] with a formatted message. *)
-
 val degenerate : what:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val numerical : stage:string -> value:float -> ('a, unit, string, 'b) format4 -> 'a
-
-val resource : stage:string -> limit:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val mismatch : stage:string -> ('a, unit, string, 'b) format4 -> 'a
 

@@ -6,7 +6,7 @@
     disagreement. The accumulator keeps a running compensation term so
     the result is exact to one rounding of the true sum, at two extra
     flops per term — used by {!Gcr.Cost}, {!Clocktree.Elmore} and
-    {!Clocktree.Metrics}. *)
+    {!Stats}. *)
 
 type t
 

@@ -728,26 +728,32 @@ let rect_at u v =
   Geometry.Rect.make ~ulo:u ~uhi:u ~vlo:v ~vhi:v
 
 let test_spatial_basic () =
+  (* pure distance: K = 0, P = 1, c = 1, as Nn queries it *)
+  let regions = [| rect_at 100.0 100.0; rect_at 3.0 0.0; rect_at 0.0 0.0 |] in
   let idx = Clocktree.Spatial.create ~capacity:8 ~cell:10.0 () in
-  Clocktree.Spatial.insert idx 0 (rect_at 0.0 0.0);
-  Clocktree.Spatial.insert idx 1 (rect_at 3.0 0.0);
-  Clocktree.Spatial.insert idx 2 (rect_at 100.0 100.0);
+  Array.iteri (fun i r -> Clocktree.Spatial.insert idx i r ~k:0.0 ~p:1.0) regions;
   Alcotest.(check int) "cardinal" 3 (Clocktree.Spatial.cardinal idx);
   Alcotest.(check bool) "mem" true (Clocktree.Spatial.mem idx 1);
   Alcotest.(check bool) "not mem" false (Clocktree.Spatial.mem idx 3);
-  let regions = [| rect_at 0.0 0.0; rect_at 3.0 0.0; rect_at 100.0 100.0 |] in
   let dist i j = Geometry.Rect.distance regions.(i) regions.(j) in
-  (match Clocktree.Spatial.nearest idx 0 ~dist:(dist 0) with
+  let nearest q =
+    Clocktree.Spatial.cheapest idx q ~below:q ~c:1.0 ~dist:(dist q) ~cost:(dist q)
+      ~rank:Fun.id
+  in
+  (match nearest 2 with
   | Some (1, d) -> check_float "nearest dist" 3.0 d
-  | _ -> Alcotest.fail "expected nearest of 0 to be 1");
+  | _ -> Alcotest.fail "expected nearest of 2 to be 1");
+  (match nearest 1 with
+  | Some (0, _) -> ()
+  | _ -> Alcotest.fail "expected 1 to see only the id below it");
   Clocktree.Spatial.remove idx 1;
   Alcotest.(check bool) "removed" false (Clocktree.Spatial.mem idx 1);
-  (match Clocktree.Spatial.nearest idx 0 ~dist:(dist 0) with
-  | Some (2, _) -> ()
-  | _ -> Alcotest.fail "expected nearest of 0 to be 2 after removal");
+  (match nearest 2 with
+  | Some (0, _) -> ()
+  | _ -> Alcotest.fail "expected nearest of 2 to be 0 after removal");
   Clocktree.Spatial.remove idx 0;
-  Alcotest.(check (option (pair int (float 0.0)))) "alone" None
-    (Clocktree.Spatial.nearest idx 2 ~dist:(dist 2))
+  Alcotest.(check int) "cardinal after removals" 1 (Clocktree.Spatial.cardinal idx);
+  Alcotest.(check (option (pair int (float 0.0)))) "alone" None (nearest 2)
 
 let test_spatial_validation () =
   Alcotest.check_raises "bad cell"
@@ -761,51 +767,6 @@ let test_spatial_validation () =
   Alcotest.check_raises "remove absent"
     (Invalid_argument "Spatial.remove: id not present") (fun () ->
       Clocktree.Spatial.remove idx 2)
-
-let prop_spatial_nearest_matches_scan =
-  (* nearest over random rects, with interleaved removals, must return the
-     same minimal distance as a brute-force scan (ids may differ on ties) *)
-  QCheck.Test.make ~name:"spatial nearest = brute-force scan" ~count:80
-    QCheck.(pair (int_range 2 60) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let prng = Util.Prng.create (seed + 1) in
-      let rect _ =
-        let u = Util.Prng.range prng 0.0 500.0 in
-        let v = Util.Prng.range prng 0.0 500.0 in
-        let wu = Util.Prng.range prng 0.0 40.0 in
-        let wv = Util.Prng.range prng 0.0 40.0 in
-        Geometry.Rect.make ~ulo:u ~uhi:(u +. wu) ~vlo:v ~vhi:(v +. wv)
-      in
-      let regions = Array.init n rect in
-      let cell = 500.0 /. sqrt (float_of_int n) in
-      let idx = Clocktree.Spatial.create ~capacity:n ~cell () in
-      Array.iteri (fun i r -> Clocktree.Spatial.insert idx i r) regions;
-      let alive = Array.make n true in
-      (* drop a third of the ids to exercise removal paths *)
-      for _ = 1 to n / 3 do
-        let i = Util.Prng.int prng n in
-        if alive.(i) then begin
-          alive.(i) <- false;
-          Clocktree.Spatial.remove idx i
-        end
-      done;
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if alive.(i) then begin
-          let dist j = Geometry.Rect.distance regions.(i) regions.(j) in
-          let best = ref infinity in
-          for j = 0 to n - 1 do
-            if alive.(j) && j <> i && dist j < !best then best := dist j
-          done;
-          match Clocktree.Spatial.nearest idx i ~dist with
-          | Some (j, d) ->
-            if not (alive.(j) && j <> i) then ok := false;
-            if Float.abs (d -. !best) > 1e-9 then ok := false;
-            if Float.abs (d -. dist j) > 1e-12 then ok := false
-          | None -> if !best < infinity then ok := false
-        end
-      done;
-      !ok)
 
 (* cheapest over random regions, weights and removals must return a
    scan's answer — the first minimum in rank order among ids below the
@@ -922,6 +883,25 @@ let prop_nn_spatial_matches_dense =
       let fast = wirelength (Clocktree.Nn.topology tech ~edge_gate:None sinks) in
       let ref_ = wirelength (Clocktree.Nn.topology_dense tech ~edge_gate:None sinks) in
       Float.abs (fast -. ref_) <= 1e-6 *. (1.0 +. Float.abs ref_))
+
+(* Lattice clouds put many sinks on the same few points, with caps from a
+   short list, so exact distance ties between distinct pairs are the rule.
+   Nn's merge list must still be the exhaustive scan's, tie for tie, with
+   and without edge buffers. *)
+let prop_nn_matches_scan_on_lattice =
+  QCheck.Test.make ~name:"spatial topology = scan merges on lattice clouds (ties)"
+    ~count:30
+    QCheck.(triple (int_range 49 160) (int_range 2 6) (int_range 0 1_000_000))
+    (fun (n, side, seed) ->
+      let prng = Util.Prng.create (seed + 11) in
+      let sinks =
+        Array.init n (fun id ->
+            let at () = 100.0 *. float_of_int (Util.Prng.int prng side) in
+            let x = at () in
+            mk_sink id x (at ()) (10.0 *. float_of_int (1 + Util.Prng.int prng 3)))
+      in
+      Conformance.Oracles.nn_matches_scan tech sinks;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Arena                                                              *)
@@ -1145,57 +1125,10 @@ let () =
               Alcotest.(check bool) "mismatch shows skew" true
                 (lying.Clocktree.Elmore.skew > 100.0 *. honest.Clocktree.Elmore.skew));
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "two-sink" `Quick (fun () ->
-              let sinks = [| mk_sink 0 0.0 0.0 10.0; mk_sink 1 100.0 0.0 10.0 |] in
-              let topo = Clocktree.Topo.of_merges ~n_sinks:2 [| (0, 1) |] in
-              let embed =
-                Clocktree.Embed.build tech topo ~sinks ~gate_on_edge:no_gate
-                  ~root_anchor:(pt 50.0 0.0)
-              in
-              let m = Clocktree.Metrics.of_embed embed in
-              Alcotest.(check int) "sinks" 2 m.Clocktree.Metrics.n_sinks;
-              Alcotest.(check int) "depth" 1 m.Clocktree.Metrics.max_depth;
-              check_float "wire" 100.0 m.Clocktree.Metrics.total_wirelength;
-              check_float "no detour" 0.0 m.Clocktree.Metrics.detour_wirelength;
-              check_float "mean edge" 50.0 m.Clocktree.Metrics.mean_edge_length);
-          Alcotest.test_case "by-depth sums to total" `Quick (fun () ->
-              let prng = Util.Prng.create 91 in
-              let sinks = random_sinks prng 20 in
-              let embed =
-                Clocktree.Nn.embed tech ~edge_gate:None ~root_anchor:(pt 500.0 500.0)
-                  sinks
-              in
-              let m = Clocktree.Metrics.of_embed embed in
-              check_float "depth buckets cover all wire"
-                m.Clocktree.Metrics.total_wirelength
-                (Array.fold_left ( +. ) 0.0 m.Clocktree.Metrics.wirelength_by_depth));
-          Alcotest.test_case "detour counts snaking" `Quick (fun () ->
-              (* force a snake: a slow two-sink subtree merged with a sink
-                 sitting right on its merging segment — the lone sink's
-                 wire must be elongated to match the subtree delay *)
-              let sinks =
-                [|
-                  mk_sink 0 0.0 0.0 50.0; mk_sink 1 2000.0 0.0 50.0;
-                  mk_sink 2 1000.0 1.0 5.0;
-                |]
-              in
-              let topo = Clocktree.Topo.of_merges ~n_sinks:3 [| (0, 1); (2, 3) |] in
-              let embed =
-                Clocktree.Embed.build tech topo ~sinks ~gate_on_edge:no_gate
-                  ~root_anchor:(pt 1000.0 0.0)
-              in
-              let m = Clocktree.Metrics.of_embed embed in
-              Alcotest.(check bool) "detour positive" true
-                (m.Clocktree.Metrics.detour_wirelength > 0.0);
-              Alcotest.(check int) "one snaked edge" 1 m.Clocktree.Metrics.snaked_edges);
-        ] );
       ( "spatial",
         [
           Alcotest.test_case "basic" `Quick test_spatial_basic;
           Alcotest.test_case "validation" `Quick test_spatial_validation;
-          qt prop_spatial_nearest_matches_scan;
           qt prop_spatial_cheapest_matches_scan;
         ] );
       ( "nn",
@@ -1204,5 +1137,6 @@ let () =
           Alcotest.test_case "closest pair first" `Quick test_nn_merges_closest_pair_first;
           Alcotest.test_case "embed end to end" `Quick test_nn_embed_end_to_end;
           qt prop_nn_spatial_matches_dense;
+          qt prop_nn_matches_scan_on_lattice;
         ] );
     ]

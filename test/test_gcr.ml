@@ -1073,23 +1073,6 @@ let test_flow_rejects_bad_shards () =
          errs)
 
 (* ------------------------------------------------------------------ *)
-(* Dot                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_dot_render () =
-  let config, profile, sinks = setup ~n:6 () in
-  let tree = Gcr.Router.route config profile sinks in
-  let dot = Gcr.Dot.render tree in
-  Alcotest.(check bool) "digraph" true
-    (Astring.String.is_prefix ~affix:"digraph" dot);
-  Alcotest.(check bool) "sink boxes" true (Astring.String.is_infix ~affix:"sink 0" dot);
-  Alcotest.(check bool) "gated edges" true (Astring.String.is_infix ~affix:"EN p=" dot);
-  Alcotest.(check bool) "closes" true (Astring.String.is_suffix ~affix:"}\n" dot);
-  Alcotest.check_raises "too large"
-    (Invalid_argument "Dot.render: tree too large (raise max_nodes or scale the input)")
-    (fun () -> ignore (Gcr.Dot.render ~max_nodes:3 tree))
-
-(* ------------------------------------------------------------------ *)
 (* Spice                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1430,7 +1413,6 @@ let () =
           Alcotest.test_case "flow rejects bad shards" `Quick
             test_flow_rejects_bad_shards;
         ] );
-      ("dot", [ Alcotest.test_case "render" `Quick test_dot_render ]);
       ( "spice",
         [
           Alcotest.test_case "render" `Quick test_spice_render;

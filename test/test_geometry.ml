@@ -1,6 +1,6 @@
 (* Tests for the rotated-frame Manhattan geometry substrate: points,
-   rotation, rectangles (TRRs / merging segments), arcs and bounding
-   boxes. These underpin the DME construction, so they are tested both
+   rotation, rectangles (TRRs / merging segments, Manhattan arcs as
+   degenerate ones) and bounding boxes. These underpin the DME construction, so they are tested both
    with hand-computed cases and with qcheck properties. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -219,48 +219,6 @@ let prop_nearest_is_closest =
       Geometry.Rot.chebyshev p near <= Geometry.Rot.chebyshev p other +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Arc                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_arc_of_rect () =
-  (* a slope -1 segment from (0,1) to (1,0): u = 1 constant *)
-  let r = rect 1.0 1.0 (-1.0) 1.0 in
-  match Geometry.Arc.of_rect r with
-  | None -> Alcotest.fail "expected an arc"
-  | Some arc ->
-    let a, b = Geometry.Arc.endpoints arc in
-    Alcotest.(check bool) "endpoint a" true (Geometry.Point.equal a (pt 0.0 1.0));
-    Alcotest.(check bool) "endpoint b" true (Geometry.Point.equal b (pt 1.0 0.0));
-    check_float "length" 2.0 (Geometry.Arc.length arc);
-    Alcotest.(check bool) "midpoint" true
-      (Geometry.Point.equal (Geometry.Arc.midpoint arc) (pt 0.5 0.5))
-
-let test_arc_2d_rejected () =
-  Alcotest.(check bool) "2d rect is not an arc" true
-    (Geometry.Arc.of_rect (rect 0.0 1.0 0.0 1.0) = None);
-  Alcotest.check_raises "of_rect_exn raises"
-    (Invalid_argument "Arc.of_rect_exn: two-dimensional rectangle") (fun () ->
-      ignore (Geometry.Arc.of_rect_exn (rect 0.0 1.0 0.0 1.0)))
-
-let test_arc_of_endpoints () =
-  let arc = Geometry.Arc.of_endpoints (pt 0.0 0.0) (pt 2.0 2.0) in
-  check_float "slope+1 length" 4.0 (Geometry.Arc.length arc);
-  Alcotest.check_raises "not manhattan arc"
-    (Invalid_argument "Arc.of_endpoints: endpoints not on a slope +-1 line")
-    (fun () -> ignore (Geometry.Arc.of_endpoints (pt 0.0 0.0) (pt 2.0 1.0)))
-
-let test_arc_point_at () =
-  let arc = Geometry.Arc.of_endpoints (pt 0.0 0.0) (pt 2.0 2.0) in
-  Alcotest.(check bool) "quarter point" true
-    (Geometry.Point.equal (Geometry.Arc.point_at arc 0.25) (pt 0.5 0.5))
-
-let test_arc_roundtrip_rect () =
-  let r = rect 1.0 1.0 (-1.0) 1.0 in
-  let arc = Geometry.Arc.of_rect_exn r in
-  Alcotest.(check bool) "to_rect roundtrip" true
-    (Geometry.Rect.equal r (Geometry.Arc.to_rect arc))
-
-(* ------------------------------------------------------------------ *)
 (* Bbox                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -302,18 +260,6 @@ let prop_bbox_cell_consistent =
       let idx = Geometry.Bbox.cell_index b g p in
       let cells = Geometry.Bbox.split_grid b g in
       Geometry.Bbox.contains ~eps:1e-6 cells.(idx) p)
-
-let prop_arc_point_at_endpoints =
-  QCheck.Test.make ~name:"point_at hits the endpoints at 0 and 1" ~count:200
-    QCheck.(pair (pair float_coord float_coord) (float_range (-200.0) 200.0))
-    (fun ((x, y), d) ->
-      let a = pt x y in
-      let b = pt (x +. d) (y +. d) in
-      let arc = Geometry.Arc.of_endpoints a b in
-      Geometry.Point.equal ~eps:1e-6 (Geometry.Arc.point_at arc 0.0) a
-      && Geometry.Point.equal ~eps:1e-6 (Geometry.Arc.point_at arc 1.0) b
-      && Geometry.Point.equal ~eps:1e-6 (Geometry.Arc.midpoint arc)
-           (Geometry.Point.midpoint a b))
 
 let prop_rect_sample_inside =
   QCheck.Test.make ~name:"sample always lands inside the rectangle" ~count:200
@@ -375,15 +321,6 @@ let () =
           qt prop_nearest_pair_realizes_distance;
           qt prop_nearest_is_closest;
           qt prop_rect_sample_inside;
-        ] );
-      ( "arc",
-        [
-          Alcotest.test_case "of_rect" `Quick test_arc_of_rect;
-          Alcotest.test_case "2d rejected" `Quick test_arc_2d_rejected;
-          Alcotest.test_case "of_endpoints" `Quick test_arc_of_endpoints;
-          Alcotest.test_case "point_at" `Quick test_arc_point_at;
-          Alcotest.test_case "roundtrip" `Quick test_arc_roundtrip_rect;
-          qt prop_arc_point_at_endpoints;
         ] );
       ( "bbox",
         [
