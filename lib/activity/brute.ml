@@ -11,9 +11,6 @@ let active_count stream set =
 let p_any stream set =
   float_of_int (active_count stream set) /. float_of_int (Instr_stream.length stream)
 
-let p_module stream m =
-  p_any stream (Module_set.singleton (Rtl.n_modules (Instr_stream.rtl stream)) m)
-
 let transition_count stream set =
   let b = Instr_stream.length stream in
   if b < 2 then invalid_arg "Brute.transition_count: stream shorter than two cycles";

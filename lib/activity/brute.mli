@@ -8,14 +8,9 @@
 val p_any : Instr_stream.t -> Module_set.t -> float
 (** Fraction of cycles in which at least one module of the set is active. *)
 
-val p_module : Instr_stream.t -> int -> float
-
 val ptr : Instr_stream.t -> Module_set.t -> float
 (** Fraction of the [B - 1] cycle boundaries at which the enable of the set
     toggles. Raises [Invalid_argument] on a single-cycle stream. *)
 
 val transition_count : Instr_stream.t -> Module_set.t -> int
 (** Absolute number of enable toggles over the stream. *)
-
-val active_count : Instr_stream.t -> Module_set.t -> int
-(** Absolute number of cycles with the enable high. *)

@@ -14,20 +14,26 @@ let check_member name n m =
   if m < 0 || m >= n then
     invalid_arg (Printf.sprintf "Module_set.%s: module %d outside [0,%d)" name m n)
 
+let set_bit bits m =
+  bits.(m / bits_per_word) <- bits.(m / bits_per_word) lor (1 lsl (m mod bits_per_word))
+
 let add s m =
   check_member "add" s.n m;
   let bits = Array.copy s.bits in
-  let w = m / bits_per_word and b = m mod bits_per_word in
-  bits.(w) <- bits.(w) lor (1 lsl b);
+  set_bit bits m;
   { s with bits }
 
 let singleton n m =
   check_member "singleton" n m;
   let s = empty n in
-  s.bits.(m / bits_per_word) <- 1 lsl (m mod bits_per_word);
+  set_bit s.bits m;
   s
 
-let of_list n ms = List.fold_left add (empty n) ms
+(* One word array for the whole list, not a copy per member. *)
+let of_list n ms =
+  let s = empty n in
+  List.iter (fun m -> check_member "of_list" n m; set_bit s.bits m) ms;
+  s
 
 let mem s m =
   check_member "mem" s.n m;
@@ -36,12 +42,10 @@ let mem s m =
 
 let full n =
   let s = empty n in
-  let bits = s.bits in
   for m = 0 to n - 1 do
-    let w = m / bits_per_word and b = m mod bits_per_word in
-    bits.(w) <- bits.(w) lor (1 lsl b)
+    set_bit s.bits m
   done;
-  { n; bits }
+  s
 
 let check_universe name a b =
   if a.n <> b.n then

@@ -1,10 +1,12 @@
+(* Off: tables_only, or a kernel that failed Signature.check. *)
+type kernel_state = Unbuilt | Built of Signature.kernel | Off
+
 type t =
   | Sampled of {
       stream : Instr_stream.t;
       ift : Ift.t;
       imatt : Imatt.t;
-      mutable kernel : Signature.kernel option; (* built on first demand *)
-      use_kernel : bool; (* false = degraded mode: direct table scans only *)
+      mutable kernel : kernel_state;
     }
   | Analytic of Cpu_model.t
 
@@ -14,8 +16,7 @@ let of_stream stream =
       stream;
       ift = Ift.build stream;
       imatt = Imatt.build stream;
-      kernel = None;
-      use_kernel = true;
+      kernel = Unbuilt;
     }
 
 let of_tables ?kernel stream ift imatt =
@@ -26,7 +27,8 @@ let of_tables ?kernel stream ift imatt =
     || Rtl.n_modules (Imatt.rtl imatt) <> Rtl.n_modules rtl
     || Rtl.n_instructions (Imatt.rtl imatt) <> Rtl.n_instructions rtl
   then invalid_arg "Profile.of_tables: tables built from a different RTL";
-  Sampled { stream; ift; imatt; kernel; use_kernel = true }
+  let kernel = match kernel with Some k -> Built k | None -> Unbuilt in
+  Sampled { stream; ift; imatt; kernel }
 
 let of_model model = Analytic model
 
@@ -69,26 +71,19 @@ let p_module t m = p t (Module_set.singleton (n_modules t) m)
 
 let signature_kernel = function
   | Analytic _ -> None
-  | Sampled { use_kernel = false; _ } -> None
   | Sampled s -> (
     match s.kernel with
-    | Some _ as k -> k
-    | None ->
+    | Built k -> Some k
+    | Off -> None
+    | Unbuilt ->
       let k = Signature.kernel s.ift s.imatt in
-      s.kernel <- Some k;
-      Some k)
+      s.kernel <- (match k with Some k -> Built k | None -> Off);
+      k)
 
 let tables_only = function
   | Analytic _ as t -> t
   | Sampled s ->
-    Sampled
-      {
-        stream = s.stream;
-        ift = s.ift;
-        imatt = s.imatt;
-        kernel = None;
-        use_kernel = false;
-      }
+    Sampled { stream = s.stream; ift = s.ift; imatt = s.imatt; kernel = Off }
 
 let avg_activity = function
   | Sampled { stream; _ } -> Instr_stream.avg_active_fraction stream

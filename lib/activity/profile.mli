@@ -62,15 +62,15 @@ val signature_kernel : t -> Signature.kernel option
 (** The {!Signature} kernel over this profile's tables — the fast path
     for repeated [P]/[Ptr] queries over unions of known sets. Built on
     first demand and cached; [None] for analytic profiles, whose
-    closed-form queries have no tables to index, and for
-    {!tables_only} profiles. *)
+    closed-form queries have no tables to index, for {!tables_only}
+    profiles and after a failed {!Signature.check}. *)
 
 val tables_only : t -> t
-(** The same profile with its signature kernel disabled: every [P]/[Ptr]
-    query goes through a direct IFT/IMATT table scan. The degradation
-    target of {!Gcr.Flow}'s paranoid mode when a kernel answer fails its
-    invariant check; shares the underlying stream and tables. Identity
-    on analytic profiles. *)
+(** The same profile with its signature kernel off: every [P]/[Ptr]
+    query goes through a direct IFT/IMATT table scan, as after a failed
+    {!Signature.check}. The degradation target of {!Gcr.Flow}'s paranoid
+    mode when a kernel answer fails its invariant check; shares the
+    underlying stream and tables. Identity on analytic profiles. *)
 
 val avg_activity : t -> float
 (** Average module activity (the x-axis of the paper's Figure 4); the

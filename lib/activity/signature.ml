@@ -15,8 +15,8 @@
 
    word-major ([w * np + b]; weight of bit [b] of word [w] at
    [nwords * (np + 3) + w * 62 + b]), shared verbatim with
-   signature_stubs.c: the C kernels walk the raw intnat data, the OCaml
-   fallback reads the same arena through Util.Popcnt. [masks] (the
+   signature_stubs.c, whose C kernels walk the raw intnat data and answer
+   every query. [masks] (the
    weighted bits of each word), [totals] (their weight sum) and the
    per-bit [weights] feed density shortcuts — a zero query word
    contributes nothing, a saturated one ([x land mask = mask])
@@ -25,13 +25,19 @@
    [weights] beats the plane loop. Every path computes the same exact
    integer sum; the final division is the same [hits / total] the table
    scans perform, so results are bit-for-bit identical to Ift.p_any /
-   Imatt.ptr whichever implementation answers. *)
+   Imatt.ptr — which [check] confirms on every kernel handed out. *)
 
 let bits_per_word = 62
 
 let words_for n = max 1 ((n + bits_per_word - 1) / bits_per_word)
 
 type planes = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Field order is ABI: signature_stubs.c reads hits/now/next/tog as
+   Field 0/1/2/3 of this record. [tog] caches [now lxor next] — the Ptr
+   query word — and is maintained by every constructor, so the ptr
+   kernels load one array per signature instead of two plus an xor. *)
+type t = { hits : int array; now : int array; next : int array; tog : int array }
 
 type kernel = {
   rtl : Rtl.t;
@@ -51,14 +57,9 @@ type kernel = {
   p_arena : planes; (* hwords * (p_np + 3 + 62); see build_arena *)
   r_np : int; (* low-weight planes for row counts *)
   r_arena : planes; (* rwords * (r_np + 3 + 62); see build_arena *)
-  use_c : bool; (* answer queries in C; false = OCaml fallback *)
+  probes : Module_set.t array; (* the check's probe sets... *)
+  probe_sigs : t array; (* ...their signatures, then hit patterns *)
 }
-
-(* Field order is ABI: signature_stubs.c reads hits/now/next/tog as
-   Field 0/1/2/3 of this record. [tog] caches [now lxor next] — the Ptr
-   query word — and is maintained by every constructor, so the ptr
-   kernels load one array per signature instead of two plus an xor. *)
-type t = { hits : int array; now : int array; next : int array; tog : int array }
 
 (* ------------------------------------------------------------------ *)
 (* C kernels (see signature_stubs.c for the layout contract).         *)
@@ -124,98 +125,6 @@ external c_symm_diff_batch :
   t -> t array -> int array -> (int[@untagged]) -> (int[@untagged])
   -> (int[@untagged]) = "gcr_sig_symm_diff_batch_byte" "gcr_sig_symm_diff_batch"
 [@@noalloc]
-
-(* ------------------------------------------------------------------ *)
-(* OCaml fallback: same arena, same integer sums.                     *)
-(* ------------------------------------------------------------------ *)
-
-let[@inline] wsum_word arena np base x =
-  let acc = ref 0 in
-  for b = 0 to np - 1 do
-    acc :=
-      !acc
-      + (Util.Popcnt.count (x land Bigarray.Array1.unsafe_get arena (base + b))
-        lsl b)
-  done;
-  !acc
-
-let[@inline] word_contrib arena np nwords w x =
-  if x = 0 then 0
-  else
-    let mask = Bigarray.Array1.unsafe_get arena ((nwords * np) + w) in
-    if x land mask = mask then
-      Bigarray.Array1.unsafe_get arena ((nwords * (np + 2)) + w)
-    else begin
-      let acc = ref (wsum_word arena np (w * np) x) in
-      (* Heavy bits: add the weight part the low-[np] planes can't hold. *)
-      let yh = ref (x land Bigarray.Array1.unsafe_get arena ((nwords * (np + 1)) + w)) in
-      if !yh <> 0 then begin
-        let hi_mask = -(1 lsl np) in
-        let woff = (nwords * (np + 3)) + (w * bits_per_word) in
-        while !yh <> 0 do
-          let low = !yh land - !yh in
-          let b = Util.Popcnt.count (low - 1) in
-          acc :=
-            !acc + (Bigarray.Array1.unsafe_get arena (woff + b) land hi_mask);
-          yh := !yh lxor low
-        done
-      end;
-      !acc
-    end
-
-let p_sum_ml kern s =
-  let acc = ref 0 in
-  for w = 0 to kern.hwords - 1 do
-    acc := !acc + word_contrib kern.p_arena kern.p_np kern.hwords w s.hits.(w)
-  done;
-  !acc
-
-let p_union_sum_ml kern a b =
-  let acc = ref 0 in
-  for w = 0 to kern.hwords - 1 do
-    acc :=
-      !acc
-      + word_contrib kern.p_arena kern.p_np kern.hwords w
-          (a.hits.(w) lor b.hits.(w))
-  done;
-  !acc
-
-let ptr_sum_ml kern s =
-  let acc = ref 0 in
-  for w = 0 to kern.rwords - 1 do
-    acc :=
-      !acc
-      + word_contrib kern.r_arena kern.r_np kern.rwords w s.tog.(w)
-  done;
-  !acc
-
-let ptr_union_sum_ml kern a b =
-  let acc = ref 0 in
-  for w = 0 to kern.rwords - 1 do
-    acc :=
-      !acc
-      + word_contrib kern.r_arena kern.r_np kern.rwords w
-          ((a.now.(w) lor b.now.(w)) lxor (a.next.(w) lor b.next.(w)))
-  done;
-  !acc
-
-(* Set-algebra fallbacks over the instruction-hit words. These need no
-   arena — pure word ops — but still dispatch through the C stubs so the
-   build-time self-check covers both implementations of every query. *)
-
-let subset_ml a b =
-  let rec go w =
-    w >= Array.length a.hits
-    || (a.hits.(w) land lnot b.hits.(w) = 0 && go (w + 1))
-  in
-  go 0
-
-let symm_diff_ml a b =
-  let acc = ref 0 in
-  for w = 0 to Array.length a.hits - 1 do
-    acc := !acc + Util.Popcnt.count (a.hits.(w) lxor b.hits.(w))
-  done;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Kernel construction.                                               *)
@@ -333,94 +242,199 @@ let row_bit masks rwords i r =
   masks.((i * rwords) + (r / bits_per_word)) land (1 lsl (r mod bits_per_word))
   <> 0
 
-let default_use_c =
-  match Sys.getenv_opt "GCR_SIG_KERNEL" with
-  | Some "ocaml" -> false
-  | Some _ | None -> true
+(* ------------------------------------------------------------------ *)
+(* Signatures.                                                        *)
+(* ------------------------------------------------------------------ *)
 
-let word_mask = (1 lsl bits_per_word) - 1
+let queries_counter = Util.Obs.counter "signature.queries"
 
-(* Deterministic probe words: a mix of zero, saturated and pseudo-random
-   words so the self-check crosses all three per-word branches. *)
-let probe_words nwords seed =
-  Array.init nwords (fun w ->
-      match (w + seed) land 3 with
-      | 0 -> 0
-      | 1 -> word_mask
-      | _ ->
-        (((w + seed + 1) * 0x2545F4914F6CDD1D)
-        lxor ((w + seed + 7) * 0x01000193))
-        land word_mask)
+let sets_counter = Util.Obs.counter "signature.sets"
 
-(* Confirm the C kernels against the OCaml fallback on this kernel's own
-   arenas. A disagreement means a miscompiled stub; the caller then pins
-   [use_c] to false rather than serve wrong answers fast. *)
-let self_check kern =
-  let mk seed =
-    let now = probe_words kern.rwords (seed + 11)
-    and next = probe_words kern.rwords (seed + 23) in
-    {
-      hits = probe_words kern.hwords seed;
-      now;
-      next;
-      tog = Array.init kern.rwords (fun w -> now.(w) lxor next.(w));
-    }
+let batch_calls_counter = Util.Obs.counter "sig.batch_calls"
+
+let batch_size_counter = Util.Obs.counter "sig.batch_size"
+
+let check_failed_counter = Util.Obs.counter "signature.check_failed"
+
+let create kern =
+  {
+    hits = Array.make kern.hwords 0;
+    now = Array.make kern.rwords 0;
+    next = Array.make kern.rwords 0;
+    tog = Array.make kern.rwords 0;
+  }
+
+(* H(S) is the OR of S's module columns; NOW/NEXT are the ORs of the
+   row masks of H(S)'s set bits — the same words as testing every use
+   set against S and reading every row's two instructions, at a cost of
+   |S| column ORs plus one mask OR per hit instruction. Uncounted: the
+   kernel check builds its probe signatures here too. *)
+let signature_words kern set =
+  let s = create kern in
+  let hits = s.hits and hwords = kern.hwords and cols = kern.mod_cols in
+  Module_set.iter
+    (fun m ->
+      let base = m * hwords in
+      for w = 0 to hwords - 1 do
+        hits.(w) <- hits.(w) lor cols.(base + w)
+      done)
+    set;
+  let now = s.now and next = s.next and rwords = kern.rwords in
+  for w = 0 to hwords - 1 do
+    let x = ref hits.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      let base = ((w * bits_per_word) + Util.Popcnt.count (low - 1)) * rwords in
+      for r = 0 to rwords - 1 do
+        now.(r) <- now.(r) lor kern.first_masks.(base + r);
+        next.(r) <- next.(r) lor kern.second_masks.(base + r)
+      done;
+      x := !x lxor low
+    done
+  done;
+  for w = 0 to rwords - 1 do
+    s.tog.(w) <- now.(w) lxor next.(w)
+  done;
+  s
+
+let of_set kern set =
+  if Module_set.universe_size set <> Rtl.n_modules kern.rtl then
+    invalid_arg "Signature.of_set: universe mismatch";
+  Util.Obs.incr sets_counter;
+  signature_words kern set
+
+let or_words x y =
+  let z = Array.copy x in
+  for w = 0 to Array.length z - 1 do
+    z.(w) <- z.(w) lor y.(w)
+  done;
+  z
+
+(* [tog] of a union is NOT tog_a lor tog_b — it must be recomputed from
+   the unioned now/next words (a row toggles iff the union's bits
+   differ). *)
+let union a b =
+  let now = or_words a.now b.now and next = or_words a.next b.next in
+  let tog = Array.copy now in
+  for w = 0 to Array.length tog - 1 do
+    tog.(w) <- tog.(w) lxor next.(w)
+  done;
+  { hits = or_words a.hits b.hits; now; next; tog }
+
+(* ------------------------------------------------------------------ *)
+(* The check: a kernel's answers against the tables.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The check's probes, built once per kernel: module sets full, even and
+   odd, then hit patterns zero (the empty set, whose scans cost most to
+   confirm a 0), random, sparse (AND of three) and dense (OR of three), so
+   every per-word path of the stubs meets a word even where every set
+   hits every instruction. *)
+let probe_sets n =
+  let even = Module_set.of_list n (List.init ((n + 1) / 2) (fun j -> 2 * j)) in
+  [| Module_set.full n; even; Module_set.diff (Module_set.full n) even |]
+
+let probe_sigs kern =
+  let g = Util.Prng.create 1 in
+  let words f n =
+    let rnd () = Int64.to_int (Util.Prng.bits64 g) land ((1 lsl bits_per_word) - 1) in
+    Array.init n (fun _ -> f (rnd ()) (rnd ()) (rnd ()))
   in
-  let a = mk 1 and b = mk 5 in
-  let fl sum total = float_of_int sum /. float_of_int total in
-  let scalar_ok =
-    c_p kern.p_arena kern.p_np kern.hwords a kern.total
-    = fl (p_sum_ml kern a) kern.total
-    && c_ptr kern.r_arena kern.r_np kern.rwords a kern.total_pairs
-       = fl (ptr_sum_ml kern a) kern.total_pairs
-    && c_p_union kern.p_arena kern.p_np kern.hwords a b kern.total
-       = fl (p_union_sum_ml kern a b) kern.total
-    && c_ptr_union kern.r_arena kern.r_np kern.rwords a b kern.total_pairs
-       = fl (ptr_union_sum_ml kern a b) kern.total_pairs
+  let pattern f =
+    let now = words f kern.rwords and next = words f kern.rwords in
+    { hits = words f kern.hwords; now; next; tog = Array.map2 ( lxor ) now next }
   in
-  scalar_ok
-  &&
-  let sigs = [| a; b |] in
-  let out = [| 0.0; 0.0 |] in
-  c_p_batch kern.p_arena kern.p_np kern.hwords sigs out 2 kern.total < 0
-  && out.(0) = fl (p_sum_ml kern a) kern.total
-  && out.(1) = fl (p_sum_ml kern b) kern.total
-  && c_ptr_batch kern.r_arena kern.r_np kern.rwords sigs out 2 kern.total_pairs
-     < 0
-  && out.(0) = fl (ptr_sum_ml kern a) kern.total_pairs
-  && out.(1) = fl (ptr_sum_ml kern b) kern.total_pairs
-  && c_p_union_batch kern.p_arena kern.p_np kern.hwords a sigs out 2 kern.total
-     < 0
-  && out.(0) = fl (p_union_sum_ml kern a a) kern.total
-  && out.(1) = fl (p_union_sum_ml kern a b) kern.total
-  &&
-  (* Set-algebra stubs: cover a true subset (a vs a|b), both random
-     directions and the reflexive case. *)
-  let u =
-    let now = Array.init kern.rwords (fun w -> a.now.(w) lor b.now.(w))
-    and next = Array.init kern.rwords (fun w -> a.next.(w) lor b.next.(w)) in
-    {
-      hits = Array.init kern.hwords (fun w -> a.hits.(w) lor b.hits.(w));
-      now;
-      next;
-      tog = Array.init kern.rwords (fun w -> now.(w) lxor next.(w));
-    }
-  in
-  List.for_all
-    (fun (x, y) ->
-      c_subset x y kern.hwords = (if subset_ml x y then 1 else 0)
-      && c_symm_diff x y kern.hwords = symm_diff_ml x y)
-    [ (a, b); (b, a); (a, u); (u, a); (a, a) ]
-  &&
-  let pairs = [| a; b; u |] in
-  let sub_out = Array.make 3 false
-  and diff_out = Array.make 3 0 in
-  c_subset_batch a pairs sub_out 3 kern.hwords < 0
-  && c_symm_diff_batch a pairs diff_out 3 kern.hwords < 0
-  && Array.for_all2 (fun got x -> got = subset_ml a x) sub_out pairs
-  && Array.for_all2 (fun got x -> got = symm_diff_ml a x) diff_out pairs
+  Array.append
+    (Array.map (signature_words kern) kern.probes)
+    (Array.map pattern
+       [| (fun _ _ _ -> 0); (fun a _ _ -> a); (fun a b c -> a land b land c);
+          (fun a b c -> a lor b lor c) |])
 
-let kernel ?(force_ocaml = false) ift imatt =
+(* The probe sets' words must answer like Ift.p_any/Imatt.ptr; then every
+   stub, on every probe and union of two, like the tables' own sums over
+   its words (counts of the hit instructions, of the toggling rows), and
+   subset/symm_diff like their word-level definitions. The stubs are
+   called directly, so the check moves no query counter. *)
+let check kern ift imatt =
+  let rows = Imatt.rows imatt in
+  same_rtl kern.rtl (Ift.rtl ift)
+  && same_rtl kern.rtl (Imatt.rtl imatt)
+  && Array.length rows = kern.n_rows
+  &&
+  (* Sum of [weight i] over the set bits [i < n] of words [word 0 ..]. *)
+  let sum n word weight =
+    let acc = ref 0 in
+    for w = 0 to words_for n - 1 do
+      let x = ref (word w) in
+      while !x <> 0 do
+        let low = !x land - !x in
+        let i = (w * bits_per_word) + Util.Popcnt.count (low - 1) in
+        if i < n then acc := !acc + weight i;
+        x := !x lxor low
+      done
+    done;
+    float_of_int !acc
+  in
+  let p_ref word = sum kern.k word (Ift.count ift) /. float_of_int (Ift.total_cycles ift)
+  and ptr_ref word =
+    sum kern.n_rows word (fun r -> rows.(r).Imatt.count) /. float_of_int (Imatt.total_pairs imatt)
+  in
+  let { probe_sigs = sigs; p_arena = pa; p_np = pnp; hwords = hw; r_arena = ra; r_np = rnp;
+        rwords = rw; total; total_pairs = pairs; _ } = kern in
+  let m = Array.length sigs in
+  let ok = ref true in
+  let need b = if not b then ok := false in
+  let expect got want = need (Float.equal got want) in
+  Array.iteri
+    (fun i set ->
+      expect (p_ref (Array.get sigs.(i).hits)) (Ift.p_any ift set);
+      expect (ptr_ref (Array.get sigs.(i).tog)) (Imatt.ptr imatt set))
+    kern.probes;
+  let out = Array.make m nan and sub = Array.make m false
+  and diff = Array.make m (-1) in
+  need (c_p_batch pa pnp hw sigs out m total < 0);
+  Array.iteri (fun i got -> expect got (p_ref (Array.get sigs.(i).hits))) out;
+  need (c_ptr_batch ra rnp rw sigs out m pairs < 0);
+  Array.iteri (fun i got -> expect got (ptr_ref (Array.get sigs.(i).tog))) out;
+  Array.iteri
+    (fun i a ->
+      expect (c_p pa pnp hw a total) (p_ref (Array.get a.hits));
+      expect (c_ptr ra rnp rw a pairs) (ptr_ref (Array.get a.tog));
+      need
+        (c_p_union_batch pa pnp hw a sigs out m total < 0
+        && c_subset_batch a sigs sub m hw < 0
+        && c_symm_diff_batch a sigs diff m hw < 0);
+      Array.iteri
+        (fun j b ->
+          let pu = p_ref (fun w -> a.hits.(w) lor b.hits.(w)) in
+          expect (c_p_union pa pnp hw a b total) pu;
+          expect out.(j) pu;
+          if j >= i then
+            expect (c_ptr_union ra rnp rw a b pairs)
+              (ptr_ref (fun w ->
+                   (a.now.(w) lor b.now.(w)) lxor (a.next.(w) lor b.next.(w))));
+          (* the word-level definitions of subset and symm_diff *)
+          let s = Array.for_all2 (fun x y -> x land lnot y = 0) a.hits b.hits
+          and d =
+            Array.fold_left ( + ) 0
+              (Array.map2 (fun x y -> Util.Popcnt.count (x lxor y)) a.hits b.hits)
+          in
+          need ((c_subset a b hw <> 0) = s && sub.(j) = s);
+          need (c_symm_diff a b hw = d && diff.(j) = d))
+        sigs)
+    sigs;
+  !ok
+
+let checked kern ift imatt =
+  if Util.Obs.span ~name:"sig.kernel_check" (fun () -> check kern ift imatt)
+  then Some kern
+  else (Util.Obs.incr check_failed_counter; None)
+
+(* ------------------------------------------------------------------ *)
+(* Kernel construction and in-place patching.                         *)
+(* ------------------------------------------------------------------ *)
+
+let kernel ift imatt =
   Util.Obs.span ~name:"sig.kernel_build" (fun () ->
       let rtl = Ift.rtl ift in
       if not (same_rtl rtl (Imatt.rtl imatt)) then
@@ -453,13 +467,11 @@ let kernel ?(force_ocaml = false) ift imatt =
           p_arena;
           r_np;
           r_arena;
-          use_c = (not force_ocaml) && default_use_c;
+          probes = probe_sets (Rtl.n_modules rtl);
+          probe_sigs = [||];
         }
       in
-      if kern.use_c && not (self_check kern) then { kern with use_c = false }
-      else kern)
-
-let uses_c_kernel kern = kern.use_c
+      checked { kern with probe_sigs = probe_sigs kern } ift imatt)
 
 (* In-place arena patch for a weight update that keeps the bit geometry:
    the [weights] segment already stores every bit's old count, so one
@@ -524,90 +536,13 @@ let patch_kernel kern ift imatt =
             (Ift.count ift);
           patch_arena ~np:kern.r_np kern.rwords kern.n_rows kern.r_arena
             (fun r -> rows.(r).Imatt.count);
-          let kern =
+          checked
             {
               kern with
               total = Ift.total_cycles ift;
               total_pairs = Imatt.total_pairs imatt;
             }
-          in
-          Some
-            (if kern.use_c && not (self_check kern) then
-               { kern with use_c = false }
-             else kern))
-
-(* ------------------------------------------------------------------ *)
-(* Signatures.                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let queries_counter = Util.Obs.counter "signature.queries"
-
-let sets_counter = Util.Obs.counter "signature.sets"
-
-let batch_calls_counter = Util.Obs.counter "sig.batch_calls"
-
-let batch_size_counter = Util.Obs.counter "sig.batch_size"
-
-let create kern =
-  {
-    hits = Array.make kern.hwords 0;
-    now = Array.make kern.rwords 0;
-    next = Array.make kern.rwords 0;
-    tog = Array.make kern.rwords 0;
-  }
-
-(* H(S) is the OR of S's module columns; NOW/NEXT are the ORs of the
-   row masks of H(S)'s set bits — the same words as testing every use
-   set against S and reading every row's two instructions, at a cost of
-   |S| column ORs plus one mask OR per hit instruction. *)
-let of_set kern set =
-  if Module_set.universe_size set <> Rtl.n_modules kern.rtl then
-    invalid_arg "Signature.of_set: universe mismatch";
-  Util.Obs.incr sets_counter;
-  let s = create kern in
-  let hits = s.hits and hwords = kern.hwords and cols = kern.mod_cols in
-  Module_set.iter
-    (fun m ->
-      let base = m * hwords in
-      for w = 0 to hwords - 1 do
-        hits.(w) <- hits.(w) lor cols.(base + w)
-      done)
-    set;
-  let now = s.now and next = s.next and rwords = kern.rwords in
-  for w = 0 to hwords - 1 do
-    let x = ref hits.(w) in
-    while !x <> 0 do
-      let low = !x land - !x in
-      let base = ((w * bits_per_word) + Util.Popcnt.count (low - 1)) * rwords in
-      for r = 0 to rwords - 1 do
-        now.(r) <- now.(r) lor kern.first_masks.(base + r);
-        next.(r) <- next.(r) lor kern.second_masks.(base + r)
-      done;
-      x := !x lxor low
-    done
-  done;
-  for w = 0 to rwords - 1 do
-    s.tog.(w) <- now.(w) lxor next.(w)
-  done;
-  s
-
-let or_words x y =
-  let z = Array.copy x in
-  for w = 0 to Array.length z - 1 do
-    z.(w) <- z.(w) lor y.(w)
-  done;
-  z
-
-(* [tog] of a union is NOT tog_a lor tog_b — it must be recomputed from
-   the unioned now/next words (a row toggles iff the union's bits
-   differ). *)
-let union a b =
-  let now = or_words a.now b.now and next = or_words a.next b.next in
-  let tog = Array.copy now in
-  for w = 0 to Array.length tog - 1 do
-    tog.(w) <- tog.(w) lxor next.(w)
-  done;
-  { hits = or_words a.hits b.hits; now; next; tog }
+            ift imatt)
 
 (* The C kernels read signature word arrays unchecked, so every array an
    operation hands to C must be proven to match the kernel's geometry
@@ -626,7 +561,6 @@ let[@inline] check_rows name kern s =
   if Array.length s.now <> kern.rwords || Array.length s.next <> kern.rwords
   then invalid_arg ("Signature." ^ name ^ ": signature/kernel mismatch")
 
-
 (* ------------------------------------------------------------------ *)
 (* Scalar queries.                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -634,41 +568,36 @@ let[@inline] check_rows name kern s =
 let p kern s =
   Util.Obs.incr queries_counter;
   check_hits "p" kern s;
-  if kern.use_c then c_p kern.p_arena kern.p_np kern.hwords s kern.total
-  else float_of_int (p_sum_ml kern s) /. float_of_int kern.total
+  c_p kern.p_arena kern.p_np kern.hwords s kern.total
 
 let p_union kern a b =
   Util.Obs.incr queries_counter;
   check_hits "p_union" kern a;
   check_hits "p_union" kern b;
-  if kern.use_c then c_p_union kern.p_arena kern.p_np kern.hwords a b kern.total
-  else float_of_int (p_union_sum_ml kern a b) /. float_of_int kern.total
+  c_p_union kern.p_arena kern.p_np kern.hwords a b kern.total
 
 let ptr kern s =
   Util.Obs.incr queries_counter;
   check_tog "ptr" kern s;
-  if kern.use_c then c_ptr kern.r_arena kern.r_np kern.rwords s kern.total_pairs
-  else float_of_int (ptr_sum_ml kern s) /. float_of_int kern.total_pairs
+  c_ptr kern.r_arena kern.r_np kern.rwords s kern.total_pairs
 
 let ptr_union kern a b =
   Util.Obs.incr queries_counter;
   check_rows "ptr_union" kern a;
   check_rows "ptr_union" kern b;
-  if kern.use_c then
-    c_ptr_union kern.r_arena kern.r_np kern.rwords a b kern.total_pairs
-  else float_of_int (ptr_union_sum_ml kern a b) /. float_of_int kern.total_pairs
+  c_ptr_union kern.r_arena kern.r_np kern.rwords a b kern.total_pairs
 
 let subset kern a b =
   Util.Obs.incr queries_counter;
   check_hits "subset" kern a;
   check_hits "subset" kern b;
-  if kern.use_c then c_subset a b kern.hwords <> 0 else subset_ml a b
+  c_subset a b kern.hwords <> 0
 
 let symm_diff_count kern a b =
   Util.Obs.incr queries_counter;
   check_hits "symm_diff_count" kern a;
   check_hits "symm_diff_count" kern b;
-  if kern.use_c then c_symm_diff a b kern.hwords else symm_diff_ml a b
+  c_symm_diff a b kern.hwords
 
 (* ------------------------------------------------------------------ *)
 (* Batched queries: one bounds-checked C call per candidate frontier.  *)
@@ -687,81 +616,42 @@ let[@inline] batch_obs n =
   Util.Obs.add batch_size_counter n;
   Util.Obs.add queries_counter n
 
-(* Geometry validation happens inside the kernel loops (C returns the
-   first bad index; the OCaml fallback checks as it goes), so a raise
-   can leave [out] partially written — documented in the mli. *)
+(* Geometry validation happens inside the C loops (they return the first
+   bad index), so a raise can leave [out] partially written — documented
+   in the mli. *)
 let[@inline never] bad_batch name =
   invalid_arg ("Signature." ^ name ^ ": signature/kernel mismatch")
 
 let p_batch kern ?n sigs out =
   let n = batch_n "p_batch" sigs n out in
   batch_obs n;
-  if kern.use_c then begin
-    if c_p_batch kern.p_arena kern.p_np kern.hwords sigs out n kern.total >= 0
-    then bad_batch "p_batch"
-  end
-  else
-    for i = 0 to n - 1 do
-      check_hits "p_batch" kern sigs.(i);
-      out.(i) <- float_of_int (p_sum_ml kern sigs.(i)) /. float_of_int kern.total
-    done
+  if c_p_batch kern.p_arena kern.p_np kern.hwords sigs out n kern.total >= 0
+  then bad_batch "p_batch"
 
 let ptr_batch kern ?n sigs out =
   let n = batch_n "ptr_batch" sigs n out in
   batch_obs n;
-  if kern.use_c then begin
-    if
-      c_ptr_batch kern.r_arena kern.r_np kern.rwords sigs out n kern.total_pairs
-      >= 0
-    then bad_batch "ptr_batch"
-  end
-  else
-    for i = 0 to n - 1 do
-      check_tog "ptr_batch" kern sigs.(i);
-      out.(i) <-
-        float_of_int (ptr_sum_ml kern sigs.(i)) /. float_of_int kern.total_pairs
-    done
+  if
+    c_ptr_batch kern.r_arena kern.r_np kern.rwords sigs out n kern.total_pairs
+    >= 0
+  then bad_batch "ptr_batch"
 
 let p_union_batch kern a ?n sigs out =
   let n = batch_n "p_union_batch" sigs n out in
   check_hits "p_union_batch" kern a;
   batch_obs n;
-  if kern.use_c then begin
-    if
-      c_p_union_batch kern.p_arena kern.p_np kern.hwords a sigs out n kern.total
-      >= 0
-    then bad_batch "p_union_batch"
-  end
-  else
-    for i = 0 to n - 1 do
-      check_hits "p_union_batch" kern sigs.(i);
-      out.(i) <-
-        float_of_int (p_union_sum_ml kern a sigs.(i)) /. float_of_int kern.total
-    done
+  if c_p_union_batch kern.p_arena kern.p_np kern.hwords a sigs out n kern.total >= 0
+  then bad_batch "p_union_batch"
 
 let subset_batch kern a ?n sigs out =
   let n = batch_n "subset_batch" sigs n out in
   check_hits "subset_batch" kern a;
   batch_obs n;
-  if kern.use_c then begin
-    if c_subset_batch a sigs out n kern.hwords >= 0 then bad_batch "subset_batch"
-  end
-  else
-    for i = 0 to n - 1 do
-      check_hits "subset_batch" kern sigs.(i);
-      out.(i) <- subset_ml a sigs.(i)
-    done
+  if c_subset_batch a sigs out n kern.hwords >= 0 then bad_batch "subset_batch"
 
 let symm_diff_batch kern a ?n sigs out =
   let n = batch_n "symm_diff_batch" sigs n out in
   check_hits "symm_diff_batch" kern a;
   batch_obs n;
-  if kern.use_c then begin
-    if c_symm_diff_batch a sigs out n kern.hwords >= 0 then
-      bad_batch "symm_diff_batch"
-  end
-  else
-    for i = 0 to n - 1 do
-      check_hits "symm_diff_batch" kern sigs.(i);
-      out.(i) <- symm_diff_ml a sigs.(i)
-    done
+  if c_symm_diff_batch a sigs out n kern.hwords >= 0 then
+    bad_batch "symm_diff_batch"

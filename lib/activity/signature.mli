@@ -25,10 +25,10 @@
     Weighted popcounts are answered from bit-sliced weight planes: plane
     [b] holds the bits whose count has bit [b] set, so one query word
     costs [⌈log₂ max_count⌉] hardware popcounts —
-    [Σ_b 2^b · popcnt (x land plane_b)] — evaluated by a noalloc C stub
-    (or a pure-OCaml fallback over the same arena; see {!kernel}). Hit
-    sums are integers either way, so {!p} and {!ptr} agree {e bit-for-bit}
-    with {!Ift.p_any} and {!Imatt.ptr}. The batched entry points
+    [Σ_b 2^b · popcnt (x land plane_b)] — evaluated by noalloc C stubs.
+    Hit sums are integers, so {!p} and {!ptr} agree {e bit-for-bit} with
+    {!Ift.p_any} and {!Imatt.ptr}; {!check} holds every kernel to that
+    before handing it out. The batched entry points
     ({!p_batch}, {!ptr_batch}, {!p_union_batch}) evaluate a whole
     candidate frontier in one C call, amortizing bounds checks and
     call overhead. *)
@@ -48,38 +48,39 @@ type t = { hits : int array; now : int array; next : int array; tog : int array 
     all its sinks). (Field order is ABI with the C stubs — do not
     reorder.) *)
 
-val kernel : ?force_ocaml:bool -> Ift.t -> Imatt.t -> kernel
-(** Build the kernel for one profile's table pair. Raises
-    [Invalid_argument] when the two tables disagree on their RTL.
-
-    Queries run through the C stub unless [force_ocaml] is set,
-    [GCR_SIG_KERNEL=ocaml] is in the environment, or the build-time
-    self-check (C vs OCaml on probe signatures) disagrees — all three
-    pin the kernel to the pure-OCaml fallback, which computes the same
-    integer sums over the same arena. *)
-
-val uses_c_kernel : kernel -> bool
-(** Whether this kernel answers queries in C (for tests/diagnostics). *)
+val kernel : Ift.t -> Imatt.t -> kernel option
+(** Build the kernel for one profile's table pair and {!check} it
+    against them: [None] (counted in Obs [signature.check_failed]) when
+    the check fails, and the caller answers from the table scans. Raises
+    [Invalid_argument] when the two tables disagree on their RTL. *)
 
 val patch_kernel : kernel -> Ift.t -> Imatt.t -> kernel option
 (** Patch the kernel's weight planes {e in place} for updated tables over
-    the same RTL — the streaming-ingestion fast path. Succeeds exactly
+    the same RTL — the streaming-ingestion fast path. Applies exactly
     when the IMATT {e row set} (the ordered pairs with positive count) is
     unchanged, so the bit geometry is intact and only counts moved: one
     sweep repairs the touched plane bits, masks, heavy flags and totals
     (reading each bit's previous count out of the arena's weights
     segment), and the result answers every query bit-for-bit like a
-    fresh {!kernel} over the new tables. Returns [None] — arenas
-    untouched, caller must rebuild — when the RTL differs or new pairs
-    appeared (a geometry change).
+    fresh {!kernel} over the new tables. Returns [None] — caller must
+    rebuild — when the RTL differs or new pairs appeared (arenas
+    untouched), or when the patched kernel fails {!check} (input dead).
 
     The returned kernel {e shares the mutated arenas} with its input:
     after [Some k'], the old kernel must not be queried again, and no
     other domain may hold it (single-owner update flows only — the serve
     cache rebuilds instead, so in-flight readers of the old kernel stay
     consistent). Existing signatures remain valid: row bits depend only
-    on the row set, which is unchanged. The C-vs-OCaml self-check is
-    re-run on the patched arenas. *)
+    on the row set, which is unchanged. *)
+
+val check : kernel -> Ift.t -> Imatt.t -> bool
+(** Whether the kernel answers like the tables [ift]/[imatt]: probe
+    module sets (full, even, odd) against {!Ift.p_any}/{!Imatt.ptr}, and
+    every query, scalar, union and batch, on those and on synthetic hit
+    patterns against the tables' sums (or, for {!subset} and
+    {!symm_diff_count}, the word-level definitions). Catches a bad stub,
+    arena build, {!of_set} table or in-place patch, or a kernel built
+    from other tables; [false] on an RTL mismatch. *)
 
 val of_set : kernel -> Module_set.t -> t
 (** Signature of a module set, from two tables the kernel transposes

@@ -28,8 +28,9 @@
 
    Sums stay integers; the final (double)acc / (double)total is the same
    IEEE operation as OCaml's float_of_int acc /. float_of_int total, so
-   results are bit-for-bit identical to the OCaml fallback in
-   signature.ml and to the Ift.p_any / Imatt.ptr table scans.
+   results are bit-for-bit identical to the Ift.p_any / Imatt.ptr table
+   scans. These stubs answer every query; Signature.check compares them
+   with those scans on every kernel signature.ml builds or patches.
 
    Layout contracts with signature.ml (checked there, relied on here):
    - Signature.t is { hits; now; next; tog } in that order — Field
@@ -114,7 +115,7 @@ static inline intnat gcr_bits_wsum_hi(const intnat *weights, intnat np,
    cheapest exact path by density. set_first is a compile-time constant
    at every call site (the branch folds away): Ptr queries test the
    set-bits side before the missing-bits side, P queries the reverse. */
-static inline intnat gcr_word_contrib(const intnat *planes,
+static inline intnat gcr_word_weight(const intnat *planes,
                                       const intnat *weights, intnat np,
                                       uintnat mask, uintnat heavy,
                                       intnat total, uintnat x, int set_first)
@@ -145,7 +146,7 @@ static inline intnat gcr_word_contrib(const intnat *planes,
 }
 
 /* Sum one section. GET_X is an expression in w producing the query word;
-   SET_FIRST is the literal dispatch-order flag for gcr_word_contrib. */
+   SET_FIRST is the literal dispatch-order flag for gcr_word_weight. */
 #define GCR_SECTION_SUM(acc, arena, np, nwords, SET_FIRST, GET_X)             \
   do {                                                                        \
     const intnat *ar_ = (const intnat *)Caml_ba_data_val(arena);              \
@@ -156,7 +157,7 @@ static inline intnat gcr_word_contrib(const intnat *planes,
     for (intnat w = 0; w < (nwords); w++) {                                   \
       uintnat x_ = (uintnat)(GET_X);                                          \
       if (x_ != 0)                                                            \
-        (acc) += gcr_word_contrib(ar_ + w * (np), weights_ + w * 62, (np),    \
+        (acc) += gcr_word_weight(ar_ + w * (np), weights_ + w * 62, (np),    \
                                   (uintnat)masks_[w], (uintnat)heavy_[w],     \
                                   totals_[w], x_, (SET_FIRST));               \
     }                                                                         \

@@ -28,8 +28,6 @@ let create rtl =
     kernel = None;
   }
 
-let rtl t = t.rtl
-
 let total_cycles t = t.total
 
 let distinct_pairs t = Hashtbl.length t.pairs
@@ -108,12 +106,15 @@ let profile ?(patch = true) t =
       | None -> Signature.kernel ift imatt
       | Some k -> (
         (* Counts-only drift keeps the bit geometry: patch the planes in
-           place. New pairs change the IMATT row set; rebuild then. *)
+           place. New pairs change the IMATT row set, and a patch that
+           fails its check is dropped; rebuild then. *)
         match Signature.patch_kernel k ift imatt with
-        | Some k' -> k'
+        | Some _ as k' -> k'
         | None -> Signature.kernel ift imatt)
     in
-    t.kernel <- Some kernel;
-    Profile.of_tables ~kernel (stream t) ift imatt
+    t.kernel <- kernel;
+    match kernel with
+    | Some kernel -> Profile.of_tables ~kernel (stream t) ift imatt
+    | None -> Profile.tables_only (Profile.of_tables (stream t) ift imatt)
   end
   else Profile.of_tables (stream t) ift imatt

@@ -10,8 +10,8 @@
     chunk boundary is counted exactly once, like any other cycle
     boundary). {!profile} additionally keeps a signature kernel warm
     across updates: when only counts moved it is patched in place
-    ({!Signature.patch_kernel}); when new instruction pairs appeared it
-    is rebuilt.
+    ({!Signature.patch_kernel}); when new instruction pairs appeared, or
+    the patch failed {!Signature.check}, it is rebuilt (and checked).
 
     The accumulator is single-owner mutable state: ingest and
     materialize from one domain. Profiles returned by
@@ -43,8 +43,6 @@ val ingest_stream : t -> Instr_stream.t -> unit
     [Invalid_argument] when the stream's RTL dimensions differ from the
     accumulator's. *)
 
-val rtl : t -> Rtl.t
-
 val total_cycles : t -> int
 (** Cycles ingested so far (sum of chunk lengths). *)
 
@@ -68,7 +66,8 @@ val profile : ?patch:bool -> t -> Profile.t
 (** The sampled profile over the current tables. With [patch] (default
     [true]) the accumulator's cached signature kernel is updated in
     place when possible and shared with the returned profile — the
-    incremental fast path; see the ownership caveat above. With
+    incremental fast path; see the ownership caveat above. If the kernel
+    fails its check, the profile answers from the table scans. With
     [~patch:false] the profile is independent of the accumulator (kernel
     built lazily on first demand). Raises [Invalid_argument] on fewer
     than two ingested cycles. *)

@@ -10,7 +10,6 @@ type t = {
   delay : float array;
   cap : float array;
   edge_len : float array;
-  wl : float array;
   px : float array;
   py : float array;
   snaked : Bytes.t;
@@ -33,7 +32,6 @@ let create ~n_sinks =
     delay = Array.make cap 0.0;
     cap = Array.make cap 0.0;
     edge_len = Array.make cap 0.0;
-    wl = Array.make cap 0.0;
     px = Array.make cap 0.0;
     py = Array.make cap 0.0;
     snaked = Bytes.make cap '\000';
@@ -106,7 +104,6 @@ let copy t =
     delay = Array.copy t.delay;
     cap = Array.copy t.cap;
     edge_len = Array.copy t.edge_len;
-    wl = Array.copy t.wl;
     px = Array.copy t.px;
     py = Array.copy t.py;
     snaked = Bytes.copy t.snaked;
@@ -120,7 +117,6 @@ type node = {
   node_delay : float;
   node_cap : float;
   node_edge_len : float;
-  node_wl : float;
   node_loc : Geometry.Point.t;
   node_snaked : bool;
   node_left : int;
@@ -135,7 +131,6 @@ let to_nodes t =
         node_delay = t.delay.(v);
         node_cap = t.cap.(v);
         node_edge_len = t.edge_len.(v);
-        node_wl = t.wl.(v);
         node_loc = loc t v;
         node_snaked = snaked t v;
         node_left = t.left.(v);
@@ -155,7 +150,6 @@ let of_nodes ~n_sinks nodes =
       t.delay.(v) <- n.node_delay;
       t.cap.(v) <- n.node_cap;
       t.edge_len.(v) <- n.node_edge_len;
-      t.wl.(v) <- n.node_wl;
       set_loc t v n.node_loc;
       set_snaked t v n.node_snaked;
       t.left.(v) <- n.node_left;

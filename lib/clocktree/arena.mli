@@ -28,7 +28,6 @@ type t = {
   delay : float array;  (** zero-skew Elmore delay node -> sinks *)
   cap : float array;  (** downstream capacitance at the node *)
   edge_len : float array;  (** wire length of the edge above the node *)
-  wl : float array;  (** total wirelength of the subtree below the node *)
   px : float array;  (** embedded chip-space location (x) *)
   py : float array;  (** embedded chip-space location (y) *)
   snaked : Bytes.t;  (** 1 when the edge above the node is elongated *)
@@ -84,7 +83,6 @@ type node = {
   node_delay : float;
   node_cap : float;
   node_edge_len : float;
-  node_wl : float;
   node_loc : Geometry.Point.t;
   node_snaked : bool;
   node_left : int;

@@ -112,7 +112,6 @@ let build tech topo ~sinks ~gate_on_edge ~budget =
         dmin.(v) <- s.dmin;
         dmax.(v) <- s.dmax;
         t.Arena.cap.(v) <- s.merged_cap;
-        t.Arena.wl.(v) <- t.Arena.wl.(a) +. t.Arena.wl.(b) +. s.ea +. s.eb;
         (* the arena's delay column carries the late (dmax) bound *)
         t.Arena.delay.(v) <- s.dmax);
   (t, dmin, dmax)

@@ -36,7 +36,6 @@ type view = {
   n : int;
   cost : int -> int -> float;
   cost_many : int -> int array -> int -> float array -> unit;
-  is_active : int -> bool;
   iter_active : (int -> unit) -> unit;
   rank : int -> int;
 }
@@ -232,7 +231,6 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
             Util.Obs.incr cost_evals;
             cost a b);
         cost_many;
-        is_active = (fun v -> v >= 0 && v < size && alive.(v));
         iter_active =
           (fun f ->
             for i = 0 to !n_active - 1 do

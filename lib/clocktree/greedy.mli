@@ -39,7 +39,6 @@ type view = {
           (e.g. {!Activity.Signature.p_union_batch}) is one kernel call
           per chunk instead of [cnt] scalar calls. Always agrees with
           [cost] bit-for-bit. *)
-  is_active : int -> bool;
   iter_active : (int -> unit) -> unit;
       (** visit every active root, in active order *)
   rank : int -> int;

@@ -45,10 +45,6 @@ let region t v = Arena.region t.arena v
 
 let center_point t v = Arena.center_point t.arena v
 
-let delay t v = t.arena.Arena.delay.(v)
-
-let cap t v = t.arena.Arena.cap.(v)
-
 let dist t a b = Arena.dist t.arena a b
 
 let branch t v =
@@ -79,8 +75,6 @@ let merge t a b =
   ar.Arena.cap.(k) <- split.Zskew.merged_cap;
   ar.Arena.edge_len.(a) <- split.Zskew.ea;
   ar.Arena.edge_len.(b) <- split.Zskew.eb;
-  ar.Arena.wl.(k) <-
-    ar.Arena.wl.(a) +. ar.Arena.wl.(b) +. split.Zskew.ea +. split.Zskew.eb;
   ar.Arena.left.(k) <- a;
   ar.Arena.right.(k) <- b;
   ar.Arena.parent.(a) <- k;

@@ -25,8 +25,6 @@ val n_nodes : t -> int
 val n_active : t -> int
 (** Roots remaining in the forest. *)
 
-val is_active : t -> int -> bool
-
 val active : t -> int list
 (** Current roots, ascending. *)
 
@@ -35,10 +33,6 @@ val region : t -> int -> Geometry.Rect.t
 val center_point : t -> int -> Geometry.Point.t
 (** Chip-space center of a root's merging region, without materializing
     the rectangle (the paper's controller-distance estimate point). *)
-
-val delay : t -> int -> float
-
-val cap : t -> int -> float
 
 val dist : t -> int -> int -> float
 (** Manhattan distance between two roots' merging regions. *)

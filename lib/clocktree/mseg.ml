@@ -54,13 +54,10 @@ let build tech topo ~sinks ~gate_on_edge =
           (merge_region (Arena.region t a) split.Zskew.ea (Arena.region t b)
              split.Zskew.eb dist);
         t.Arena.delay.(v) <- split.Zskew.merged_delay;
-        t.Arena.cap.(v) <- split.Zskew.merged_cap;
-        t.Arena.wl.(v) <-
-          t.Arena.wl.(a) +. t.Arena.wl.(b) +. split.Zskew.ea +. split.Zskew.eb);
+        t.Arena.cap.(v) <- split.Zskew.merged_cap);
   t
 
 let region = Arena.region
-let delay (t : t) v = t.Arena.delay.(v)
 let cap (t : t) v = t.Arena.cap.(v)
 let edge_len (t : t) v = t.Arena.edge_len.(v)
 let set_edge_len (t : t) v x = t.Arena.edge_len.(v) <- x

@@ -27,9 +27,6 @@ val build :
 val region : t -> int -> Geometry.Rect.t
 (** Merging region of node [v]. *)
 
-val delay : t -> int -> float
-(** Zero-skew Elmore delay from node [v] down to its sinks. *)
-
 val cap : t -> int -> float
 (** Downstream capacitance at node [v]. *)
 

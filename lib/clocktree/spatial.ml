@@ -54,7 +54,6 @@ type t = {
   leaf : int array; (* leaf node per id; -1 = absent *)
   next : int array; (* leaf member lists, most recent insert first *)
   prev : int array;
-  mutable count : int; (* present ids *)
   mutable nodes : node array;
   mutable n_nodes : int;
   mutable root : int; (* -1 while nothing was ever inserted *)
@@ -93,7 +92,6 @@ let make ~capacity ~cell ~base_u ~base_v =
     leaf = ints (-1);
     next = ints (-1);
     prev = ints (-1);
-    count = 0;
     nodes = [||];
     n_nodes = 0;
     root = -1;
@@ -140,10 +138,6 @@ let for_sinks ~capacity sinks =
     (1 lsl 24) + !m - klo
   in
   make ~capacity ~cell ~base_u:(base !ulo !uhi) ~base_v:(base !vlo !vhi)
-
-let cardinal t = t.count
-
-let mem t id = id >= 0 && id < Array.length t.leaf && t.leaf.(id) >= 0
 
 let check_id name t id =
   if id < 0 || id >= Array.length t.leaf then
@@ -301,8 +295,7 @@ let insert ?(k = 0.0) ?(p = 0.0) t id (r : Geometry.Rect.t) =
   t.next.(id) <- nd.head;
   if nd.head >= 0 then t.prev.(nd.head) <- id;
   nd.head <- id;
-  widen_up t l id;
-  t.count <- t.count + 1
+  widen_up t l id
 
 let remove t id =
   check_id "remove" t id;
@@ -313,8 +306,7 @@ let remove t id =
   if p >= 0 then t.next.(p) <- nx else nd.head <- nx;
   if nx >= 0 then t.prev.(nx) <- p;
   t.leaf.(id) <- -1;
-  shrink_up t l;
-  t.count <- t.count - 1
+  shrink_up t l
 
 (* ------------------------------------------------------------------ *)
 (* Cost-distance query: best-first pyramid walk                        *)

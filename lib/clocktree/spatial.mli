@@ -42,10 +42,6 @@ val insert : ?k:float -> ?p:float -> t -> int -> Geometry.Rect.t -> unit
 val remove : t -> int -> unit
 (** Raises [Invalid_argument] if the id is not present. *)
 
-val mem : t -> int -> bool
-
-val cardinal : t -> int
-
 val cheapest :
   t ->
   int ->

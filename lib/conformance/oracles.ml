@@ -98,9 +98,16 @@ let test_mode_bypass (tree : Gcr.Gated_tree.t) stream =
         row)
     wave
 
+(* A sampled profile without a kernel: the check rejected a correct one. *)
+let checked_kernel ~what profile =
+  match Activity.Profile.signature_kernel profile with
+  | None when not (Activity.Profile.is_analytic profile) ->
+    fail what "sampled profile has no signature kernel (check rejected it)"
+  | k -> k
+
 let signature_vs_tables (tree : Gcr.Gated_tree.t) =
   let profile = tree.Gcr.Gated_tree.profile in
-  match Activity.Profile.signature_kernel profile with
+  match checked_kernel ~what:"signature_vs_tables" profile with
   | None -> ()
   | Some kernel ->
     let ift = Activity.Profile.ift profile in
@@ -325,6 +332,17 @@ let engine_vs_dense (sc : Scenario.t) =
   greedy_optimal ~what:"dense oracle" config profile sinks
     (Gcr.Activity_router.topology_dense config profile sinks)
 
+(* Deterministic drift on top of a scenario's trace: one chunk replaying
+   the trace reversed (moves the pair distribution, i.e. Ptr, while
+   keeping every hit count) and one chunk hammering the trace's first
+   instruction (moves the hit distribution, i.e. P, in both
+   directions). *)
+let drift_chunks (sc : Scenario.t) =
+  let stream = sc.Scenario.stream in
+  let len = Array.length stream in
+  [ Array.init len (fun i -> stream.(len - 1 - i));
+    Array.make (Int.max 8 len) stream.(0) ]
+
 (* Streaming ingestion is additive over concatenation, so any chunking
    of the trace — including degenerate chunks — must land on the same
    tables bit-for-bit and therefore the same routed tree. The split here
@@ -387,18 +405,13 @@ let chunked_vs_whole (sc : Scenario.t) =
   in
   same_tree ~what:"chunked ingestion vs whole-trace build"
     (route (Activity.Stream_update.profile acc))
-    (route (Scenario.profile sc))
-
-(* Deterministic drift on top of a scenario's trace: one chunk replaying
-   the trace reversed (moves the pair distribution, i.e. Ptr, while
-   keeping every hit count) and one chunk hammering the trace's first
-   instruction (moves the hit distribution, i.e. P, in both
-   directions). *)
-let drift_chunks (sc : Scenario.t) =
-  let stream = sc.Scenario.stream in
-  let len = Array.length stream in
-  [ Array.init len (fun i -> stream.(len - 1 - i));
-    Array.make (Int.max 8 len) stream.(0) ]
+    (route (Scenario.profile sc));
+  (* Drift on the warm accumulator: each patched or rebuilt kernel is checked. *)
+  List.iter
+    (fun chunk ->
+      Activity.Stream_update.ingest acc chunk;
+      ignore (checked_kernel ~what:"chunked_vs_whole" (Activity.Stream_update.profile acc)))
+    (drift_chunks sc)
 
 (* The locality bound for ECO repair: the switched capacitance of a
    locally repaired tree may not stray from a from-scratch route under

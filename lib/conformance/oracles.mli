@@ -30,7 +30,8 @@ val signature_vs_tables : Gcr.Gated_tree.t -> unit
     {!Activity.Imatt.ptr} table scans, on every node's enable set and on
     every internal node's child-set union ([p_union]/[ptr_union], the
     greedy fast path). Exact equality — the kernel documents bit-for-bit
-    agreement. No-op on analytic profiles (no tables). *)
+    agreement. Fails when a sampled profile has no kernel: the check
+    rejected a correct one. No-op on analytic profiles (no tables). *)
 
 val greedy_optimal :
   what:string ->
@@ -97,7 +98,8 @@ val chunked_vs_whole : Scenario.t -> unit
     NOW/NEXT pair — and requires the accumulated IFT and IMATT to equal
     the whole-trace builds {e bit for bit} (totals, per-instruction
     counts, every pair row), then {!same_tree} on the pipelines routed
-    from each. *)
+    from each. Then ingests two drift chunks, after each requiring the
+    patched (or rebuilt) kernel to pass its check. *)
 
 val drift_chunks : Scenario.t -> int array list
 (** The deterministic drift workload the ECO oracle (and the fuzz

@@ -4,9 +4,9 @@
    masks off intnat's duplicated sign bit — and the fallback runs 32-bit
    SWAR on the two halves, so both sides agree on every int, negative
    inputs included. Which side answers is decided once at module init:
-   GCR_POPCNT=ocaml|c forces a side, otherwise the stub is self-tested
-   against the fallback and used when it agrees (it always should; the
-   check guards against a miscompiled stub rather than a real choice). *)
+   the stub is self-tested against the fallback and used when it agrees
+   (it always should; the check guards against a miscompiled stub rather
+   than a real choice). *)
 
 external stub_count : (int[@untagged]) -> (int[@untagged])
   = "gcr_popcnt_word_byte" "gcr_popcnt_word"
@@ -32,10 +32,6 @@ let self_test () =
   in
   List.for_all (fun x -> stub_count x = count_ocaml x) probes
 
-let use_stub =
-  match Sys.getenv_opt "GCR_POPCNT" with
-  | Some "ocaml" -> false
-  | Some "c" -> true
-  | Some _ | None -> self_test ()
+let use_stub = self_test ()
 
 let count x = if use_stub then stub_count x else count_ocaml x

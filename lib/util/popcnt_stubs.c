@@ -6,14 +6,13 @@
    lowers to POPCNT on x86-64 and CNT on aarch64) as an [@untagged]
    [@@noalloc] external, so one word costs one call with no boxing. The
    pure-OCaml SWAR fallback lives in popcnt.ml; Util.Popcnt self-checks
-   the stub against it at init and an environment override (GCR_POPCNT)
-   can force either side, which is how the equality property in the test
+   the stub against it at init, and an equality property in the test
    suite pins the two implementations together. */
 
 #include <caml/mlvalues.h>
 
 #if defined(__GNUC__) || defined(__clang__)
-#define GCR_POPCNT64(x) ((intnat)__builtin_popcountll((unsigned long long)(x)))
+#define GCR_POPCOUNT64(x) ((intnat)__builtin_popcountll((unsigned long long)(x)))
 #else
 /* Portable SWAR fallback (Hacker's Delight 5-1), for compilers without
    the builtin; the OCaml-side fallback exists independently of this. */
@@ -24,7 +23,7 @@ static intnat gcr_popcnt64_swar(unsigned long long x)
   x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
   return (intnat)((x * 0x0101010101010101ULL) >> 56);
 }
-#define GCR_POPCNT64(x) gcr_popcnt64_swar((unsigned long long)(x))
+#define GCR_POPCOUNT64(x) gcr_popcnt64_swar((unsigned long long)(x))
 #endif
 
 CAMLprim intnat gcr_popcnt_word(intnat x)
@@ -34,7 +33,7 @@ CAMLprim intnat gcr_popcnt_word(intnat x)
      twice for negative inputs. Mask to the OCaml int's own width so the
      result is the popcount of the (Sys.int_size)-bit representation,
      matching Popcnt.count_ocaml on every input. */
-  return GCR_POPCNT64((uintnat)x & (((uintnat)-1) >> 1));
+  return GCR_POPCOUNT64((uintnat)x & (((uintnat)-1) >> 1));
 }
 
 CAMLprim value gcr_popcnt_word_byte(value x)

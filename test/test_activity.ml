@@ -565,6 +565,12 @@ let test_markov_avg_activity () =
 (* Signature kernel = table scans, bit-for-bit                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A kernel the build check accepted; every fresh build must pass it. *)
+let sig_kernel ift imatt =
+  match Activity.Signature.kernel ift imatt with
+  | Some k -> k
+  | None -> Alcotest.fail "Signature.kernel: check rejected a fresh kernel"
+
 let prop_signature_matches_tables =
   QCheck.Test.make ~name:"Signature.p/ptr equal Ift.p_any/Imatt.ptr exactly"
     ~count:60
@@ -576,7 +582,7 @@ let prop_signature_matches_tables =
       let model = Activity.Cpu_model.make ~locality:0.3 rtl in
       let stream = Activity.Cpu_model.generate model prng (len + 1) in
       let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kern = Activity.Signature.kernel ift imatt in
+      let kern = sig_kernel ift imatt in
       let ok = ref true in
       let check set =
         let s = Activity.Signature.of_set kern set in
@@ -604,7 +610,7 @@ let prop_signature_union_matches_materialized =
       let model = Activity.Cpu_model.make rtl in
       let stream = Activity.Cpu_model.generate model prng 300 in
       let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kern = Activity.Signature.kernel ift imatt in
+      let kern = sig_kernel ift imatt in
       let ok = ref true in
       for _ = 1 to 10 do
         let a = random_set prng n_modules and b = random_set prng n_modules in
@@ -678,7 +684,7 @@ let prop_signature_batch_matches_scalar =
       let model = Activity.Cpu_model.make rtl in
       let stream = Activity.Cpu_model.generate model prng 400 in
       let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kern = Activity.Signature.kernel ift imatt in
+      let kern = sig_kernel ift imatt in
       let m = 1 + Util.Prng.int prng 7 in
       let sets = Array.init m (fun _ -> random_set prng n_modules) in
       let sigs = Array.map (Activity.Signature.of_set kern) sets in
@@ -686,50 +692,9 @@ let prop_signature_batch_matches_scalar =
       let acc = Activity.Signature.of_set kern acc_set in
       check_batches_match kern ift imatt sets sigs acc_set acc)
 
-let prop_signature_c_matches_ocaml =
-  QCheck.Test.make
-    ~name:"C kernel and OCaml fallback agree bit-for-bit" ~count:30
-    (QCheck.int_range 1 10_000)
-    (fun seed ->
-      let prng = Util.Prng.create seed in
-      let n_modules = 2 + Util.Prng.int prng 60 in
-      let rtl = random_rtl prng ~n_modules ~n_instr:(1 + Util.Prng.int prng 12) in
-      let model = Activity.Cpu_model.make ~locality:0.3 rtl in
-      let stream = Activity.Cpu_model.generate model prng 500 in
-      let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kc = Activity.Signature.kernel ift imatt in
-      let ko = Activity.Signature.kernel ~force_ocaml:true ift imatt in
-      let ok = ref (not (Activity.Signature.uses_c_kernel ko)) in
-      let m = 2 + Util.Prng.int prng 5 in
-      let sigs =
-        Array.init m (fun _ ->
-            Activity.Signature.of_set kc (random_set prng n_modules))
-      in
-      let a = sigs.(0) and b = sigs.(1) in
-      if Activity.Signature.p kc a <> Activity.Signature.p ko a then ok := false;
-      if Activity.Signature.ptr kc a <> Activity.Signature.ptr ko a then
-        ok := false;
-      if Activity.Signature.p_union kc a b <> Activity.Signature.p_union ko a b
-      then ok := false;
-      if
-        Activity.Signature.ptr_union kc a b
-        <> Activity.Signature.ptr_union ko a b
-      then ok := false;
-      let oc = Array.make m nan and oo = Array.make m nan in
-      Activity.Signature.p_batch kc sigs oc;
-      Activity.Signature.p_batch ko sigs oo;
-      if oc <> oo then ok := false;
-      Activity.Signature.ptr_batch kc sigs oc;
-      Activity.Signature.ptr_batch ko sigs oo;
-      if oc <> oo then ok := false;
-      Activity.Signature.p_union_batch kc a sigs oc;
-      Activity.Signature.p_union_batch ko a sigs oo;
-      if oc <> oo then ok := false;
-      !ok)
-
 let prop_signature_set_algebra_matches_naive =
   QCheck.Test.make
-    ~name:"subset/symm_diff equal naive Module_set scans, C equals OCaml"
+    ~name:"subset/symm_diff equal naive Module_set scans"
     ~count:30
     (QCheck.int_range 1 10_000)
     (fun seed ->
@@ -740,8 +705,7 @@ let prop_signature_set_algebra_matches_naive =
       let model = Activity.Cpu_model.make rtl in
       let stream = Activity.Cpu_model.generate model prng 300 in
       let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kc = Activity.Signature.kernel ift imatt in
-      let ko = Activity.Signature.kernel ~force_ocaml:true ift imatt in
+      let kc = sig_kernel ift imatt in
       (* The naive reference walks the RTL: instruction [i] hits set [s]
          iff its used-module set intersects [s]. *)
       let hit s i = Ms.intersects (Activity.Rtl.uses rtl i) s in
@@ -771,32 +735,22 @@ let prop_signature_set_algebra_matches_naive =
               let sa = sigs.(i) and sb = sigs.(j) in
               if Activity.Signature.subset kc sa sb <> naive_subset a b then
                 ok := false;
-              if Activity.Signature.subset ko sa sb <> naive_subset a b then
-                ok := false;
               if
                 Activity.Signature.symm_diff_count kc sa sb
-                <> naive_symm_diff a b
-              then ok := false;
-              if
-                Activity.Signature.symm_diff_count ko sa sb
                 <> naive_symm_diff a b
               then ok := false)
             sets)
         sets;
       let anchor = sigs.(0) in
-      let sub_c = Array.make m false and sub_o = Array.make m false in
-      let diff_c = Array.make m (-1) and diff_o = Array.make m (-1) in
+      let sub_c = Array.make m false and diff_c = Array.make m (-1) in
       Activity.Signature.subset_batch kc anchor sigs sub_c;
-      Activity.Signature.subset_batch ko anchor sigs sub_o;
       Activity.Signature.symm_diff_batch kc anchor sigs diff_c;
-      Activity.Signature.symm_diff_batch ko anchor sigs diff_o;
       Array.iteri
         (fun i s ->
           if sub_c.(i) <> Activity.Signature.subset kc anchor s then ok := false;
           if diff_c.(i) <> Activity.Signature.symm_diff_count kc anchor s then
             ok := false)
         sigs;
-      if sub_c <> sub_o || diff_c <> diff_o then ok := false;
       (* partial batches leave the tail untouched *)
       if m > 1 then begin
         let sub2 = Array.make m false and diff2 = Array.make m (-1) in
@@ -819,7 +773,7 @@ let prop_signature_word_boundary =
       let model = Activity.Cpu_model.make ~locality:0.1 rtl in
       let stream = Activity.Cpu_model.generate model prng 3_000 in
       let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-      let kern = Activity.Signature.kernel ift imatt in
+      let kern = sig_kernel ift imatt in
       let m = 4 in
       let sets = Array.init m (fun _ -> random_set prng n_modules) in
       let sigs = Array.map (Activity.Signature.of_set kern) sets in
@@ -834,7 +788,7 @@ let test_signature_single_instruction () =
   let rtl = Activity.Rtl.make ~n_modules:3 ~uses () in
   let stream = Activity.Instr_stream.make rtl [| 0; 0; 0; 0 |] in
   let ift = Activity.Ift.build stream and imatt = Activity.Imatt.build stream in
-  let kern = Activity.Signature.kernel ift imatt in
+  let kern = sig_kernel ift imatt in
   let s_hit = Activity.Signature.of_set kern (Ms.singleton 3 0) in
   check_float "P hit" 1.0 (Activity.Signature.p kern s_hit);
   check_float "Ptr hit" 0.0 (Activity.Signature.ptr kern s_hit);
@@ -852,6 +806,34 @@ let test_signature_universe_mismatch () =
   Alcotest.check_raises "universe mismatch"
     (Invalid_argument "Signature.of_set: universe mismatch") (fun () ->
       ignore (Activity.Signature.of_set kern (Ms.empty 3)))
+
+let test_signature_check_own_tables () =
+  (* Two streams over one RTL, with the same instruction pairs but
+     different counts: each kernel answers its own tables and no one
+     else's. *)
+  let uses = [| Ms.of_list 4 [ 0 ]; Ms.of_list 4 [ 1 ]; Ms.of_list 4 [ 2; 3 ] |] in
+  let rtl = Activity.Rtl.make ~n_modules:4 ~uses () in
+  let tables arr =
+    let stream = Activity.Instr_stream.make rtl arr in
+    (Activity.Ift.build stream, Activity.Imatt.build stream)
+  in
+  let ift_a, imatt_a = tables [| 0; 0; 1; 1; 2; 2; 0 |]
+  and ift_b, imatt_b = tables [| 0; 0; 0; 1; 1; 2; 2; 2; 2; 0 |] in
+  let ka = sig_kernel ift_a imatt_a and kb = sig_kernel ift_b imatt_b in
+  let check what want k ift imatt =
+    Alcotest.(check bool) what want (Activity.Signature.check k ift imatt)
+  in
+  check "A's kernel on A's tables" true ka ift_a imatt_a;
+  check "B's kernel on B's tables" true kb ift_b imatt_b;
+  check "A's kernel on B's tables" false ka ift_b imatt_b;
+  check "B's kernel on A's tables" false kb ift_a imatt_a;
+  (* Same pairs, new counts: the in-place patch, checked on the way out,
+     answers B's tables and no longer A's. *)
+  (match Activity.Signature.patch_kernel ka ift_b imatt_b with
+  | Some k ->
+    check "patched kernel on B's tables" true k ift_b imatt_b;
+    check "patched kernel on A's tables" false k ift_a imatt_a
+  | None -> Alcotest.fail "a counts-only update was not patched")
 
 let test_signature_kernel_cached () =
   let profile = Activity.Profile.paper_example in
@@ -945,7 +927,7 @@ let prop_signature_of_set_matches_definition =
       in
       let tables s = (Activity.Ift.build s, Activity.Imatt.build s) in
       let ift, imatt = tables base in
-      let kern = Activity.Signature.kernel ift imatt in
+      let kern = sig_kernel ift imatt in
       let sets =
         [ Ms.empty n_modules; Ms.full n_modules;
           Ms.of_list n_modules
@@ -1191,13 +1173,13 @@ let () =
           qt prop_signature_matches_tables;
           qt prop_signature_union_matches_materialized;
           qt prop_signature_batch_matches_scalar;
-          qt prop_signature_c_matches_ocaml;
           qt prop_signature_set_algebra_matches_naive;
           qt prop_signature_word_boundary;
           qt prop_signature_of_set_matches_definition;
           Alcotest.test_case "single instruction" `Quick test_signature_single_instruction;
           Alcotest.test_case "universe mismatch" `Quick test_signature_universe_mismatch;
           Alcotest.test_case "kernel cached" `Quick test_signature_kernel_cached;
+          Alcotest.test_case "check: own tables only" `Quick test_signature_check_own_tables;
         ] );
       ( "markov",
         [

@@ -732,9 +732,21 @@ let test_spatial_basic () =
   let regions = [| rect_at 100.0 100.0; rect_at 3.0 0.0; rect_at 0.0 0.0 |] in
   let idx = Clocktree.Spatial.create ~capacity:8 ~cell:10.0 () in
   Array.iteri (fun i r -> Clocktree.Spatial.insert idx i r ~k:0.0 ~p:1.0) regions;
-  Alcotest.(check int) "cardinal" 3 (Clocktree.Spatial.cardinal idx);
-  Alcotest.(check bool) "mem" true (Clocktree.Spatial.mem idx 1);
-  Alcotest.(check bool) "not mem" false (Clocktree.Spatial.mem idx 3);
+  (* The present ids as [cheapest] sees them: under a zero bound (c = 0),
+     each round's zero-cost answer is an id not found before. *)
+  let present q =
+    let rec go found =
+      match
+        Clocktree.Spatial.cheapest idx q ~below:8 ~c:0.0 ~dist:(fun _ -> 0.0)
+          ~cost:(fun u -> if List.mem u found then 1.0 else 0.0)
+          ~rank:Fun.id
+      with
+      | Some (u, c) when c = 0.0 -> go (u :: found)
+      | _ -> List.sort compare found
+    in
+    go []
+  in
+  Alcotest.(check (list int)) "present" [ 0; 1; 2 ] (present 2);
   let dist i j = Geometry.Rect.distance regions.(i) regions.(j) in
   let nearest q =
     Clocktree.Spatial.cheapest idx q ~below:q ~c:1.0 ~dist:(dist q) ~cost:(dist q)
@@ -747,12 +759,12 @@ let test_spatial_basic () =
   | Some (0, _) -> ()
   | _ -> Alcotest.fail "expected 1 to see only the id below it");
   Clocktree.Spatial.remove idx 1;
-  Alcotest.(check bool) "removed" false (Clocktree.Spatial.mem idx 1);
+  Alcotest.(check (list int)) "removed" [ 0; 2 ] (present 2);
   (match nearest 2 with
   | Some (0, _) -> ()
   | _ -> Alcotest.fail "expected nearest of 2 to be 0 after removal");
   Clocktree.Spatial.remove idx 0;
-  Alcotest.(check int) "cardinal after removals" 1 (Clocktree.Spatial.cardinal idx);
+  Alcotest.(check (list int)) "after removals" [ 2 ] (present 2);
   Alcotest.(check (option (pair int (float 0.0)))) "alone" None (nearest 2)
 
 let test_spatial_validation () =
@@ -917,7 +929,6 @@ let random_node prng =
     node_delay = Util.Prng.range prng 0.0 1e4;
     node_cap = Util.Prng.range prng 0.0 500.0;
     node_edge_len = Util.Prng.range prng 0.0 300.0;
-    node_wl = Util.Prng.range prng 0.0 5e4;
     node_loc = pt (Util.Prng.range prng 0.0 1000.0) (Util.Prng.range prng 0.0 1000.0);
     node_snaked = Util.Prng.int prng 2 = 1;
     node_left = Util.Prng.int prng 5 - 1;
