@@ -17,24 +17,16 @@ let create ?(capacity = 32) () =
   if capacity <= 0 then invalid_arg "Cache.create: non-positive capacity";
   { mutex = Mutex.create (); table = Hashtbl.create 64; capacity; clock = 0 }
 
-let fnv_offset = 0xcbf29ce484222325L
-
-let fnv_prime = 0x100000001b3L
-
-let fnv h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
 let workload_key (scn : Conformance.Scenario.t) =
   let rtl = Formats.Rtl_format.render scn.Conformance.Scenario.rtl in
   let stream =
     Formats.Stream_format.render (Conformance.Scenario.instr_stream scn)
   in
-  fnv (fnv (fnv fnv_offset rtl) "\x00") stream
+  let st = Digest.start () in
+  Digest.string st rtl;
+  Digest.byte st 0;
+  Digest.string st stream;
+  Digest.value st
 
 let locked t f =
   Mutex.lock t.mutex;

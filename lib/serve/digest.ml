@@ -8,8 +8,22 @@ let fnv_prime = 0x100000001b3L
 
 type state = { mutable h : int64 }
 
-let byte st b =
-  st.h <- Int64.mul (Int64.logxor st.h (Int64.of_int (b land 0xff))) fnv_prime
+let start () = { h = fnv_offset }
+
+let value st = st.h
+
+(* The one FNV-1a step every byte goes through. *)
+let[@inline] mix h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+
+let byte st b = st.h <- mix st.h b
+
+(* A local accumulator keeps the loop free of boxed int64 stores. *)
+let string st s =
+  let h = ref st.h in
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code (String.unsafe_get s i))
+  done;
+  st.h <- !h
 
 let i64 st v =
   for k = 0 to 7 do
@@ -36,7 +50,7 @@ let enable st (e : Gcr.Enable.t) =
   float st e.Gcr.Enable.ptr
 
 let tree (t : Gcr.Gated_tree.t) =
-  let st = { h = fnv_offset } in
+  let st = start () in
   let topo = t.Gcr.Gated_tree.topo in
   let n = Clocktree.Topo.n_nodes topo in
   int st n;
@@ -71,7 +85,7 @@ let tree (t : Gcr.Gated_tree.t) =
     enable st t.Gcr.Gated_tree.shared_enables.(v);
     bool st t.Gcr.Gated_tree.bypass.(v)
   done;
-  st.h
+  value st
 
 let to_hex h = Printf.sprintf "%016Lx" h
 

@@ -202,6 +202,33 @@ let test_digest_deterministic () =
   Alcotest.(check bool) "different tree, different digest" false
     (Int64.equal a other)
 
+(* Fixed vectors: the published FNV-1a 64 test strings, then workload
+   keys and tree digests, which are wire-visible, so their bytes must
+   never move. The last two groups were recorded when [Cache] and
+   [Digest] still hashed through two separate FNV-1a loops. *)
+let test_digest_fixed_vectors () =
+  List.iter
+    (fun (s, want) ->
+      let st = Serve.Digest.start () in
+      Serve.Digest.string st s;
+      Alcotest.(check string) (Printf.sprintf "FNV-1a 64 of %S" s) want
+        (Serve.Digest.to_hex (Serve.Digest.value st)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "workload key, seed %d" seed)
+        want
+        (Serve.Digest.to_hex (Serve.Cache.workload_key (scenario_of_seed seed))))
+    [ (1, "403b9989d90f7fcf"); (2, "0ff0cd0c72c17ed4"); (3, "5415c5625351a35b") ];
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "tree digest, seed %d" seed)
+        want
+        (Serve.Digest.to_hex (Serve.Digest.tree (route_scenario (scenario_of_seed seed)))))
+    [ (1, "4c97f6556d130069"); (2, "886e19397cf76cb4") ]
+
 (* Regression for the domain-local gather-scratch race: whole routes on
    sibling systhreads of one domain (exactly what the campaign's local
    ground-truth checks do while the daemon shares the process) used to
@@ -794,6 +821,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_digest_deterministic;
           Alcotest.test_case "hex round-trip" `Quick test_digest_hex_roundtrip;
+          Alcotest.test_case "fixed vectors" `Quick test_digest_fixed_vectors;
           Alcotest.test_case "concurrent routes race-free" `Slow
             test_concurrent_routes_identical;
         ] );
