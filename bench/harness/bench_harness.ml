@@ -4,9 +4,8 @@
    table/figure, plus micro-benchmarks).
 
    Library form: every experiment is a named section in {!sections}, and
-   {!run} executes all of them or a chosen subset — the same registry
-   backs `dune exec bench/main.exe` (driven by GCR_BENCH_* environment
-   variables, see bench/main.ml) and the `gcr bench` CLI subcommand.
+   {!run} executes all of them or a chosen subset, driven by the
+   `gcr bench --quick --only SECTION --out FILE` CLI subcommand.
    Sections that produce machine-readable numbers record JSON fragments;
    {!run} assembles them into one document (BENCH_greedy.json by
    default), which bench/compare gates against BENCH_trajectory.jsonl.

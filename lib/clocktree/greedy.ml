@@ -13,6 +13,15 @@ let validate n =
   if n <= 0 then invalid_arg "Greedy.merge_all: no elements";
   if n > max_ids / 2 then invalid_arg "Greedy.merge_all: too many elements"
 
+(* Swap-remove [v] from the [!n_active] live entries of [active], with
+   [pos] its inverse: O(1) per removal, in both engines. *)
+let remove_active active pos n_active v =
+  let i = pos.(v) in
+  let last = active.(!n_active - 1) in
+  active.(i) <- last;
+  pos.(last) <- i;
+  decr n_active
+
 (* Shared by both engines so traced runs expose the lazy-revalidation
    economics: stale_discards / heap_pops is the waste rate. *)
 let merge_steps = Util.Obs.counter "greedy.merge_steps"
@@ -262,13 +271,6 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
       for v = 0 to n - 1 do
         push_best v
       done;
-    let remove_from_active v =
-      let i = pos.(v) in
-      let last = active.(!n_active - 1) in
-      active.(i) <- last;
-      pos.(last) <- i;
-      decr n_active
-    in
     let add_active v =
       active.(!n_active) <- v;
       pos.(v) <- !n_active;
@@ -305,8 +307,8 @@ let merge_all_with ?(par_seed = false) ?cost_many source ~n ~cost ~merge =
             alive.(a) <- false;
             alive.(b) <- false;
             alive.(k) <- true;
-            remove_from_active a;
-            remove_from_active b;
+            remove_active active pos n_active a;
+            remove_active active pos n_active b;
             add_active k;
             cands.merged ~a ~b ~k;
             push_best k;
@@ -332,9 +334,6 @@ let merge_all_dense ~n ~cost ~merge =
     let size = (2 * n) - 1 in
     let alive = Array.init size (fun v -> v < n) in
     let active = Array.init size (fun v -> v) in
-    (* pos-indexed swap-remove, as in the NN engine: O(1) per removal, so
-       large oracle runs are not quadratic in bookkeeping on top of the
-       already-quadratic heap. *)
     let pos = Array.init size (fun v -> v) in
     let n_active = ref n in
     let heap = Util.Bin_heap.create ~capacity:(n * n / 2) () in
@@ -347,13 +346,6 @@ let merge_all_dense ~n ~cost ~merge =
         push_pair i j
       done
     done;
-    let remove_from_active v =
-      let i = pos.(v) in
-      let last = active.(!n_active - 1) in
-      active.(i) <- last;
-      pos.(last) <- i;
-      decr n_active
-    in
     let rec loop () =
       if !n_active = 1 then active.(0)
       else
@@ -376,8 +368,8 @@ let merge_all_dense ~n ~cost ~merge =
             alive.(a) <- false;
             alive.(b) <- false;
             alive.(k) <- true;
-            remove_from_active a;
-            remove_from_active b;
+            remove_active active pos n_active a;
+            remove_active active pos n_active b;
             for i = 0 to !n_active - 1 do
               push_pair active.(i) k
             done;

@@ -443,3 +443,28 @@ let cheapest t q ~below ~c ~dist ~cost ~rank =
   Util.Obs.add greedy_cells_visited !cells;
   Util.Obs.add greedy_bound_evals !bounds;
   if !best_id < 0 then None else Some (!best_id, !best)
+
+(* ------------------------------------------------------------------ *)
+(* Greedy candidate source                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A query owns only partners u < q and calls [view.cost q u] in that
+   order; cheapest's ties go to the lower active rank, as a scan's do. *)
+let source grow sinks ~k:weight_k ~p:weight_p ~c (view : Greedy.view) =
+  let n = view.Greedy.n in
+  let idx = for_sinks ~capacity:((2 * n) - 1) sinks in
+  let activate v = insert idx v (Grow.region grow v) ~k:(weight_k v) ~p:(weight_p v) in
+  for v = 0 to n - 1 do
+    activate v
+  done;
+  {
+    Greedy.best =
+      (fun q ->
+        cheapest idx q ~below:q ~c ~dist:(Grow.dist grow q) ~cost:(view.Greedy.cost q)
+          ~rank:view.Greedy.rank);
+    merged =
+      (fun ~a ~b ~k ->
+        remove idx a;
+        remove idx b;
+        activate k);
+  }

@@ -25,13 +25,6 @@ val create : capacity:int -> cell:float -> unit -> t
     cells of side [cell] (rotated coordinates). Raises
     [Invalid_argument] on a non-positive capacity or cell. *)
 
-val for_sinks : capacity:int -> Sink.t array -> t
-(** An index for merging the given sinks: cells of side the sink cloud's
-    rotated span divided by [sqrt n] (at least 1e-3), O(1) sinks per cell
-    at constant density, and the pyramid aligned on the cloud so that its
-    depth is about [log2 (sqrt n)]. Raises [Invalid_argument] on a
-    non-positive capacity. *)
-
 val insert : ?k:float -> ?p:float -> t -> int -> Geometry.Rect.t -> unit
 (** Index a region under the given id, in the cell of its center, with
     the id's weights [k] and [p] (default 0). With [p = 0] every bound
@@ -69,3 +62,20 @@ val cheapest :
     Obs: [greedy.cells_visited] counts the pyramid nodes the walk
     expands, [greedy.bound_evals] the per-id bounds it evaluates. Raises
     [Invalid_argument] if [q] is not present. *)
+
+val source :
+  Grow.t ->
+  Sink.t array ->
+  k:(int -> float) ->
+  p:(int -> float) ->
+  c:float ->
+  Greedy.source
+(** [source grow sinks ~k ~p ~c] is the candidate source that answers
+    every best-partner query of a greedy merge over [grow] (a forest of
+    [sinks]) from one index: each root [v] is inserted with [k v] and
+    [p v] when it becomes active, and [best q] is
+    [cheapest idx q ~below:q ~c ~dist:(Grow.dist grow q)
+    ~cost:(view.cost q) ~rank:view.rank]. Exact, with the scan's ties,
+    whenever the engine's cost meets {!cheapest}'s contract for these
+    weights. [Gcr.Router] passes Eq. (3)'s [K], [P] and unit wire
+    capacitance; {!Nn} passes [K = 0], [P = 1], [c = 1]. *)

@@ -146,11 +146,3 @@ let swap t u v =
 
 let equal a b =
   a.n_sinks = b.n_sinks && a.left = b.left && a.right = b.right
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "node %d = (%d, %d)@ " v t.left.(v) t.right.(v))
-    (internal_nodes t);
-  Format.fprintf ppf "@]"

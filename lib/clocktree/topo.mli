@@ -69,5 +69,3 @@ val is_ancestor : t -> int -> int -> bool
 (** [is_ancestor t a v] — is [a] a (strict or equal) ancestor of [v]? *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

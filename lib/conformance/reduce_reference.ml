@@ -12,19 +12,9 @@ type work = {
   mutable governing : int array;
 }
 
-let compute_governing topo kinds =
-  let governing = Array.make (Clocktree.Topo.n_nodes topo) (-1) in
-  Clocktree.Topo.iter_top_down topo (fun v ->
-      match Clocktree.Topo.parent topo v with
-      | None -> governing.(v) <- -1
-      | Some p ->
-        governing.(v) <-
-          (if kinds.(v) = Gated_tree.Gated then v else governing.(p)));
-  governing
-
 let make_work tree =
   let kinds = Gated_tree.kinds_copy tree in
-  { tree; kinds; governing = compute_governing tree.Gated_tree.topo kinds }
+  { tree; kinds; governing = Gated_tree.compute_governing tree.Gated_tree.topo kinds }
 
 let tech w = w.tree.Gated_tree.config.Config.tech
 
@@ -110,7 +100,7 @@ let remove_best w ~unconditional =
   | Some (v, gain) ->
     if unconditional || gain < 0.0 then begin
       w.kinds.(v) <- Gated_tree.Buffered;
-      w.governing <- compute_governing w.tree.Gated_tree.topo w.kinds;
+      w.governing <- Gated_tree.compute_governing w.tree.Gated_tree.topo w.kinds;
       true
     end
     else false
@@ -152,7 +142,7 @@ let rules_kinds ?(thresholds = Gate_reduction.default_thresholds) tree =
   let tech = tree.Gated_tree.config.Config.tech in
   let cg = tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap in
   let limit = thresholds.Gate_reduction.force_cap_multiple *. cg in
-  let w = { tree; kinds; governing = compute_governing topo kinds } in
+  let w = { tree; kinds; governing = Gated_tree.compute_governing topo kinds } in
   let unmasked = Array.make (Clocktree.Topo.n_nodes topo) 0.0 in
   Clocktree.Topo.iter_top_down topo (fun v ->
       match Clocktree.Topo.parent topo v with

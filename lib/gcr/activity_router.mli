@@ -13,12 +13,12 @@
 val topology :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> Clocktree.Topo.t
 (** Merge ordering by minimum merged-enable probability (geometric
-    distance breaks ties at 1e-6 weight). The greedy runs on the
-    O(n)-memory engine: sampled profiles cost candidates on their
-    {!Activity.Signature} kernel under a per-root probability bound;
-    profiles without a kernel (analytic, {!Activity.Profile.tables_only})
-    cost each candidate by a direct {!Activity.Profile.p} of the union
-    on an exhaustive scan. Raises like {!Router.route}. *)
+    distance breaks ties at 1e-6 weight), run on a {!Router.forest}: its
+    leaves, merges and enables are the Eq. (3) router's, only the cost
+    ({!Router.p_union}) differs. With a signature kernel the NN-heap
+    engine prunes under the per-root bound [P(EN_v)]
+    ({!Clocktree.Greedy.bound_scan}); without one (analytic,
+    {!Activity.Profile.tables_only}) it scans. Raises like {!Router.route}. *)
 
 val topology_dense :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> Clocktree.Topo.t

@@ -27,19 +27,9 @@ type work = {
   governing : int array;
 }
 
-let compute_governing topo kinds =
-  let governing = Array.make (Clocktree.Topo.n_nodes topo) (-1) in
-  Clocktree.Topo.iter_top_down topo (fun v ->
-      match Clocktree.Topo.parent topo v with
-      | None -> governing.(v) <- -1
-      | Some p ->
-        governing.(v) <-
-          (if kinds.(v) = Gated_tree.Gated then v else governing.(p)));
-  governing
-
 let make_work tree =
   let kinds = Gated_tree.kinds_copy tree in
-  { tree; kinds; governing = compute_governing tree.Gated_tree.topo kinds }
+  { tree; kinds; governing = Gated_tree.compute_governing tree.Gated_tree.topo kinds }
 
 let tech w = w.tree.Gated_tree.config.Config.tech
 
@@ -395,7 +385,7 @@ let reduce_rules ?(thresholds = default_thresholds) tree =
   let tech = tree.Gated_tree.config.Config.tech in
   let cg = tech.Clocktree.Tech.and_gate.Clocktree.Tech.input_cap in
   let limit = thresholds.force_cap_multiple *. cg in
-  let w = { tree; kinds; governing = compute_governing topo kinds } in
+  let w = { tree; kinds; governing = Gated_tree.compute_governing topo kinds } in
   let unmasked = Array.make (Clocktree.Topo.n_nodes topo) 0.0 in
   Clocktree.Topo.iter_top_down topo (fun v ->
       match Clocktree.Topo.parent topo v with

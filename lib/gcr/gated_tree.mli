@@ -50,6 +50,11 @@ type t = private {
           stuck-bypass fault-injection surface) *)
 }
 
+val compute_governing : Clocktree.Topo.t -> edge_kind array -> int array
+(** The {!field-governing} column of a kind assignment, one top-down
+    pass: a [Gated] node governs itself, any other node inherits its
+    parent's governing gate, and the root has none ([-1]). *)
+
 val build :
   ?skew_budget:float ->
   ?scale:(int -> float) ->

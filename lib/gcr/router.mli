@@ -48,8 +48,8 @@ val route_topology_only :
 type forest
 (** A growing forest of zero-skew subtrees with the paper's Eq. (3)
     enable bookkeeping alongside ({!Clocktree.Grow} + per-root
-    {!Enable}, plus each root's [P] and enable star term as floats,
-    set when the root becomes active). *)
+    {!Enable}, plus each root's [P], enable star term and signature in
+    flat columns, set when the root becomes active). *)
 
 val forest :
   Config.t -> Activity.Profile.t -> Clocktree.Sink.t array -> forest
@@ -92,6 +92,15 @@ val cost : forest -> int -> int -> float
     ({!Clocktree.Grow.peek_lengths}, {!Cost.merge_sc_columns}) without
     building a split, a point or an enable. Raises [Invalid_argument]
     if either id is not an active root or has no enable. *)
+
+val p_union : forest -> int -> int -> float
+(** [P(EN_a ∪ EN_b)], {!Activity_router}'s cost: the OR of the two
+    signatures when both carry one, else {!Activity.Profile.p} of the
+    union (bit for bit equal). A pure read, safe across domains. *)
+
+val p_union_batch : forest -> int -> int array -> int -> float array -> unit
+(** [p_union_batch f v us cnt out] sets [out.(i)] to [p_union f v us.(i)]
+    for [i < cnt], in one batched kernel call when all carry one. *)
 
 val merge : forest -> int -> int -> int
 (** Commit a merge (Grow + enable union); returns the new root id. *)

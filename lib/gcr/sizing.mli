@@ -26,7 +26,7 @@ val proportional :
     clamped to [min_scale, max_scale] (defaults 0.5 and 8). [reference] is
     the load that keeps unit size; it defaults to the median driver load.
 
-    {b Caveat} (measured; see the sizing ablation in [bench/main.ml]):
+    {b Caveat} (measured; see the sizing ablation of [gcr bench]):
     under exact zero skew, heterogeneous drive strengths between sibling
     gates create delay offsets that only balancing wire can absorb, so
     naive per-gate sizing inflates wirelength and switched capacitance.

@@ -5,16 +5,9 @@
     kinds — without reusing the values cached during construction, and
     raises {!Util.Gcr_error.Error} ([Engine_mismatch], or [Numerical] for
     non-finite floats) naming the invariant and the first offending node.
-    {!Flow.run_checked}'s paranoid mode runs them between pipeline stages
-    to decide when to fall back to a reference engine; [Gsim.Check] and
-    the conformance fuzzer call them directly. *)
-
-val finite : Gated_tree.t -> unit
-(** Every float the tree stores — coordinates, edge lengths, sink loads,
-    scale factors, enable statistics, skew budget, both cost totals — is
-    finite. Runs first in {!structural}: NaN passes every tolerance
-    comparison the other checks make, so it must be ruled out before
-    they can be trusted. Raises [Numerical] on violation. *)
+    {!Flow.run_checked}'s paranoid mode runs {!structural} between
+    pipeline stages to decide when to fall back to a reference engine;
+    [Gsim.Check] and the conformance fuzzer call it directly. *)
 
 val zero_skew : ?embed:Clocktree.Embed.t -> Gated_tree.t -> unit
 (** Independent Elmore recomputation of every source-to-sink delay from
@@ -22,26 +15,6 @@ val zero_skew : ?embed:Clocktree.Embed.t -> Gated_tree.t -> unit
     (zero for exact zero-skew trees) beyond floating-point tolerance.
     [embed] substitutes a different embedding for the tree's own — used
     by mutation tests that must check a deliberately corrupted one. *)
-
-val enable_consistency : Gated_tree.t -> unit
-(** [EN_i] = OR of descendant activities: every leaf's enable set is the
-    singleton of its sink's module, every internal enable set the union
-    of its children's, and every stored [P]/[Ptr] equals a direct
-    {!Activity.Profile} table scan {e bit-for-bit} (for sampled profiles
-    this doubles as the signature-kernel vs. IFT/IMATT differential). *)
-
-val governing_chain : Gated_tree.t -> unit
-(** The governing-gate assignment is well-formed: the root carries no
-    edge hardware, and every edge's governing gate is exactly the
-    nearest gated ancestor-or-self found by walking the parent chain
-    (or [-1] when the path to the root is gate-free). *)
-
-val cost_accounting : Gated_tree.t -> unit
-(** [W = W(T) + W(S)] holds exactly, and both terms match an independent
-    per-edge recomputation from wire lengths, loads, hardware kinds,
-    size factors and enable statistics — using the {e shared} enable of
-    each governing gate, and treating gates forced transparent by
-    [test_en] as free-running with a silent control star. *)
 
 val sharing : Gated_tree.t -> unit
 (** The {!Gate_share} group structure is sound: with no sharing
@@ -52,6 +25,20 @@ val sharing : Gated_tree.t -> unit
     sets with [P]/[Ptr] matching a direct profile query bit-for-bit. *)
 
 val structural : ?embed:Clocktree.Embed.t -> Gated_tree.t -> unit
-(** {!finite}, then all of the above (including {!sharing}) plus
-    {!Gated_tree.check_invariants} (embedding consistency and enable
-    nesting). [embed] is forwarded to {!zero_skew} only. *)
+(** Every check, in this order:
+    + every stored float is finite (first, since NaN passes every
+      tolerance comparison the others make; raises [Numerical]);
+    + {!Gated_tree.check_invariants} (embedding consistency, enable
+      nesting);
+    + governing chain: the root carries no edge hardware and each edge's
+      governing gate is its nearest gated ancestor-or-self ([-1] when
+      none);
+    + enable consistency: [EN_i] = OR of descendant activities, each
+      leaf's set the singleton of its sink's module, and every stored
+      [P]/[Ptr] equal to a direct {!Activity.Profile} table scan bit for
+      bit (for sampled profiles, the signature-kernel differential);
+    + {!sharing};
+    + cost accounting: [W = W(T) + W(S)] exactly, both terms matching a
+      per-edge recomputation that uses each governing gate's shared
+      enable and treats [test_en]-bypassed gates as free-running;
+    + {!zero_skew} (the only check [embed] is forwarded to). *)

@@ -28,4 +28,3 @@ let compare a b =
 
 let pp ppf p = Format.fprintf ppf "(%g, %g)" p.x p.y
 
-let to_string p = Format.asprintf "%a" pp p

@@ -30,5 +30,3 @@ val compare : t -> t -> int
 (** Lexicographic ordering, for use in sorted containers. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -95,6 +95,3 @@ let equal ?(eps = 1e-9) a b =
   && Float.abs (a.uhi -. b.uhi) <= eps
   && Float.abs (a.vlo -. b.vlo) <= eps
   && Float.abs (a.vhi -. b.vhi) <= eps
-
-let pp ppf r =
-  Format.fprintf ppf "{u:[%g,%g]; v:[%g,%g]}" r.ulo r.uhi r.vlo r.vhi

@@ -72,5 +72,3 @@ val sample : Util.Prng.t -> t -> Rot.t
 (** Uniform random point of the rectangle, for property tests. *)
 
 val equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -9,4 +9,3 @@ let chebyshev a b = Float.max (Float.abs (a.u -. b.u)) (Float.abs (a.v -. b.v))
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.u -. b.u) <= eps && Float.abs (a.v -. b.v) <= eps
 
-let pp ppf r = Format.fprintf ppf "{u=%g; v=%g}" r.u r.v

@@ -19,5 +19,3 @@ val chebyshev : t -> t -> float
     corresponding chip-space points. *)
 
 val equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -8,18 +8,8 @@ let connect address =
       Unix.connect fd (Unix.ADDR_UNIX path);
       fd
     | Server.Tcp (host, port) ->
-      let addr =
-        if host = "" then Unix.inet_addr_loopback
-        else
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
-            | h -> h.Unix.h_addr_list.(0)
-            | exception Not_found -> Unix.inet_addr_loopback)
-      in
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
+      Unix.connect fd (Unix.ADDR_INET (Server.inet_addr host, port));
       fd
   in
   { fd; dec = Frame.decoder ~max_frame:Frame.default_max_frame (); buf = Bytes.create 65536 }

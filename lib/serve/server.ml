@@ -525,6 +525,16 @@ let make_conn srv fd =
     closed = false;
   }
 
+let inet_addr host =
+  if host = "" then Unix.inet_addr_loopback
+  else
+    try Unix.inet_addr_of_string host
+    with Failure _ -> (
+      match Unix.gethostbyname host with
+      | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
+      | h -> h.Unix.h_addr_list.(0)
+      | exception Not_found -> Unix.inet_addr_loopback)
+
 let listener_of_address = function
   | Unix_socket path ->
     (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -533,19 +543,9 @@ let listener_of_address = function
     Unix.listen fd 64;
     (fd, fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp (host, port) ->
-    let addr =
-      if host = "" then Unix.inet_addr_loopback
-      else
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
-          | h -> h.Unix.h_addr_list.(0)
-          | exception Not_found -> Unix.inet_addr_loopback)
-    in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
+    Unix.bind fd (Unix.ADDR_INET (inet_addr host, port));
     Unix.listen fd 64;
     (fd, fun () -> ())
 

@@ -33,6 +33,9 @@
 
 type address = Unix_socket of string | Tcp of string * int
 
+val inet_addr : string -> Unix.inet_addr
+(** A {!Tcp} host: loopback when empty or unresolvable. *)
+
 type config = {
   address : address;
   workers : int;  (** routing worker domains *)

@@ -306,7 +306,6 @@ let render r =
     Buffer.add_string buf "empty run report (was tracing enabled?)\n";
   Buffer.contents buf
 
-let pp ppf r = Format.pp_print_string ppf (render r)
 
 (* ------------------------------------------------------------------ *)
 (* JSON (stable, dependency-free)                                     *)

@@ -116,8 +116,6 @@ val render : report -> string
     allocations, counters (plus derived rates such as the greedy
     stale-pop rate when its counters are present), and gauges. *)
 
-val pp : Format.formatter -> report -> unit
-
 val to_json : report -> string
 (** Stable single-line JSON document (trailing newline):
     [{"version":1,"spans":[...],"counters":{...},"gauges":{...}}]. Floats

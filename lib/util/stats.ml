@@ -12,7 +12,6 @@ let variance a =
     let acc = Kahan.sum_init n (fun i -> (a.(i) -. m) *. (a.(i) -. m)) in
     acc /. float_of_int n
 
-let stddev a = sqrt (variance a)
 
 let min_max a =
   if Array.length a = 0 then invalid_arg "Stats.min_max: empty array";

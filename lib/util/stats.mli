@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance; 0 on arrays shorter than 2. *)
 
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 (** Smallest and largest element. Raises [Invalid_argument] when empty. *)
 
