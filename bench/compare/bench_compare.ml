@@ -100,29 +100,16 @@ let passed v = v.regressions = [] && v.missing = []
 (* One line of BENCH_trajectory.jsonl:
    {"label": ..., "quick": ..., "metrics": {<dotted key>: <ns>, ...}} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let row ~label ~quick metrics =
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"label\": \"%s\", \"quick\": %b, \"metrics\": {"
-       (json_escape label) quick);
+  Buffer.add_string b "{\"label\": ";
+  Json.add_string b label;
+  Buffer.add_string b (Printf.sprintf ", \"quick\": %b, \"metrics\": {" quick);
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %.12g" (json_escape k) v))
+      Json.add_string b k;
+      Buffer.add_string b (Printf.sprintf ": %.12g" v))
     metrics;
   Buffer.add_string b "}}";
   Buffer.contents b

@@ -192,33 +192,31 @@ let test_en_arg =
 let paranoid_arg =
   let doc =
     "Run the checked pipeline: validate inputs up front, re-derive every \
-     structural invariant between stages, and degrade through fallback \
-     rungs (signature kernel off, relaxed skew budget) instead of \
-     failing. Degradations are reported on stderr."
+     structural invariant between stages, and when the zero-skew \
+     embedding fails, embed the merged topology again under a relaxed \
+     skew budget instead of failing. Degradations are reported on \
+     stderr."
   in
   Arg.(value & flag & info [ "paranoid" ] ~doc)
-
-let reduction_of_string = function
-  | "greedy" -> Some Gcr.Flow.Greedy
-  | "rules" -> Some Gcr.Flow.Rules
-  | "none" -> Some Gcr.Flow.No_reduction
-  | s -> (
-    match float_of_string_opt s with
-    | Some fraction when fraction >= 0.0 && fraction <= 1.0 ->
-      Some (Gcr.Flow.Fraction fraction)
-    | _ -> None)
 
 let usage_error msg =
   prerr_endline ("gcr: " ^ msg);
   exit 64
 
+let reduction_of_string = function
+  | "greedy" -> Gcr.Flow.Greedy
+  | "rules" -> Gcr.Flow.Rules
+  | "none" -> Gcr.Flow.No_reduction
+  | s -> (
+    match float_of_string_opt s with
+    | Some fraction when fraction >= 0.0 && fraction <= 1.0 ->
+      Gcr.Flow.Fraction fraction
+    | _ -> usage_error "--reduce expects greedy | rules | none | fraction")
+
 let reduce_tree mode tree =
-  match reduction_of_string mode with
-  | Some r ->
-    Gcr.Flow.apply_reduction
-      { Gcr.Flow.default with Gcr.Flow.reduction = r }
-      tree
-  | None -> usage_error "--reduce expects greedy | rules | none | fraction"
+  Gcr.Flow.apply_reduction
+    { Gcr.Flow.default with Gcr.Flow.reduction = reduction_of_string mode }
+    tree
 
 let eco_of_flag = function
   | None -> Gcr.Flow.No_eco
@@ -240,11 +238,7 @@ let run_comparison config profile sinks ~reduction ~skew_budget ~size ~shards
   let options =
     {
       Gcr.Flow.skew_budget;
-      reduction =
-        (match reduction_of_string reduction with
-        | Some r -> r
-        | None ->
-          usage_error "--reduce expects greedy | rules | none | fraction");
+      reduction = reduction_of_string reduction;
       sizing = (if size then Gcr.Flow.Proportional else Gcr.Flow.No_sizing);
       shards =
         (match shards with

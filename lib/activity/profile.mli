@@ -68,9 +68,8 @@ val signature_kernel : t -> Signature.kernel option
 val tables_only : t -> t
 (** The same profile with its signature kernel off: every [P]/[Ptr]
     query goes through a direct IFT/IMATT table scan, as after a failed
-    {!Signature.check}. The degradation target of {!Gcr.Flow}'s paranoid
-    mode when a kernel answer fails its invariant check; shares the
-    underlying stream and tables. Identity on analytic profiles. *)
+    {!Signature.check}. Shares the underlying stream and tables.
+    Identity on analytic profiles. *)
 
 val avg_activity : t -> float
 (** Average module activity (the x-axis of the paper's Figure 4); the

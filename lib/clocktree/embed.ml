@@ -47,7 +47,12 @@ let check_consistency t =
       ~context:(Printf.sprintf "edge length of node %d" v)
       (Mseg.edge_len t.mseg v);
     let region = Mseg.region t.mseg v in
-    if not (Geometry.Rect.contains ~eps:1e-6 region (Geometry.Rot.of_point (loc t v)))
+    (* One ulp of a coordinate exceeds 1e-6 from |x| ~ 2^33 up, so the
+       slack is a few ulps of |x| + |y| (the rotated coordinates' size). *)
+    let eps =
+      Float.max 1e-6 (8.0 *. epsilon_float *. (Float.abs x +. Float.abs y))
+    in
+    if not (Geometry.Rect.contains ~eps region (Geometry.Rot.of_point (loc t v)))
     then fail "node %d placed outside its region" v;
     match Topo.parent t.topo v with
     | None -> ()

@@ -48,4 +48,7 @@ val gate_location : t -> int -> Geometry.Point.t
 val check_consistency : t -> unit
 (** Asserts the embedding invariants: every location lies in its node's
     merging region and every edge's endpoints are no farther apart than its
-    assigned wire length. Raises [Failure] with a diagnostic otherwise. *)
+    assigned wire length, both within a tolerance that grows with the
+    coordinates' magnitude. Raises {!Util.Gcr_error.Error}
+    ([Engine_mismatch], or [Numerical] for a non-finite coordinate or
+    length) naming the first offending node. *)

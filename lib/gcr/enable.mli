@@ -37,12 +37,8 @@ val merge : Activity.Profile.t -> t -> t -> t
 type grown = {
   enable : t;
   signature : Activity.Signature.t option;
-      (** the enable's signature; [None] without a kernel, or when the
-          enable was adopted without one *)
+      (** the enable's signature; [None] without a kernel *)
 }
-
-val adopt : t -> grown
-(** An enable computed elsewhere, without its signature. *)
 
 val grow_sinks : Activity.Profile.t -> Clocktree.Sink.t array -> grown array
 (** {!of_sink} of every sink, keeping the signature. Each distinct

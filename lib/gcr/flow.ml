@@ -165,18 +165,10 @@ let validate_inputs config profile sinks options =
    bounding box — small against any real delay, large against rounding. *)
 let retry_skew_budget config sinks =
   let tech = config.Config.tech in
-  let inf = infinity in
-  let x0 = ref inf and x1 = ref neg_infinity in
-  let y0 = ref inf and y1 = ref neg_infinity in
-  Array.iter
-    (fun (s : Clocktree.Sink.t) ->
-      let p = s.Clocktree.Sink.loc in
-      if p.Geometry.Point.x < !x0 then x0 := p.Geometry.Point.x;
-      if p.Geometry.Point.x > !x1 then x1 := p.Geometry.Point.x;
-      if p.Geometry.Point.y < !y0 then y0 := p.Geometry.Point.y;
-      if p.Geometry.Point.y > !y1 then y1 := p.Geometry.Point.y)
-    sinks;
-  let span = Float.max (!x1 -. !x0) (!y1 -. !y0) in
+  let box =
+    Geometry.Bbox.of_points (Array.map (fun s -> s.Clocktree.Sink.loc) sinks)
+  in
+  let span = Float.max (Geometry.Bbox.width box) (Geometry.Bbox.height box) in
   let span = if Float.is_finite span && span > 0.0 then span else 1.0 in
   1e-3
   *. tech.Clocktree.Tech.unit_res
@@ -267,19 +259,32 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
        (* The routing degradation ladder, in order: the sharded engine
           (only when sharding is requested; a failure there degrades to
           the flat route, same answer contract, more wall time); the flat
-          NN-heap engine; the same engine with the signature kernel
-          disabled (direct IFT/IMATT scans); finally a bounded-skew retry
-          absorbing an infeasible exact zero-skew embedding. *)
-       let retry_budget =
-         Some
-           (Float.max
-              (Option.value skew_budget ~default:0.0)
-              (retry_skew_budget config sinks))
+          NN-heap engine; finally a bounded-skew re-embedding of the
+          topology the flat rung merged, absorbing an infeasible exact
+          zero-skew embedding. A skew budget changes only the placement,
+          so the retry merges nothing: a fallback costs one extra
+          embedding, never another route. A rung with nothing to start
+          from (the retry, when [route] failed before it merged) is [None]
+          and ends the ladder. *)
+       let topo = ref None in
+       let embed ?skew_budget t =
+         Gated_tree.build ?skew_budget config profile sinks t
+           ~kind:(fun _ -> Gated_tree.Gated)
        in
-       let flat profile skew_budget () =
-         Router.route ?skew_budget config profile sinks
+       let flat () =
+         let t = Router.route_topology_only config profile sinks in
+         topo := Some t;
+         embed ?skew_budget t
        in
-       let tables = Activity.Profile.tables_only profile in
+       let retry () =
+         let budget =
+           Float.max
+             (Option.value skew_budget ~default:0.0)
+             (retry_skew_budget config sinks)
+         in
+         Option.map (fun t () -> embed ~skew_budget:budget t) !topo
+       in
+       let always f () = Some f in
        let rungs =
          (match options.shards with
           | Flat -> []
@@ -287,41 +292,39 @@ let run_checked_info ?(mode = Default) ?(limits = no_limits)
             [
               ( "route:sharded",
                 "routing region-parallel with the sharded engine",
-                fun () -> route_with_options options config profile sinks );
+                always (fun () -> route_with_options options config profile sinks) );
             ])
          @ [
-           ("route", "routing with the NN-heap engine", flat profile skew_budget);
-           ( "route:tables",
-             "disabling the signature kernel: direct IFT/IMATT table scans",
-             flat tables skew_budget );
-           ( "route:tables:skew-budget",
-             "retrying with a relaxed skew budget",
-             flat tables retry_budget );
+           ("route", "routing with the NN-heap engine", always flat);
+           ( "route:skew-budget",
+             "re-embedding the merged topology with a relaxed skew budget",
+             retry );
          ]
        in
-       (* The wall budget is re-checked between every pair of rungs (and
-          again before each optional stage below): a rung that burns the
-          whole budget and then fails must not let the next rung start —
-          with [wall_seconds = Some 0.] the pipeline exhausts before the
-          first rung, deterministically, because the deadline compare is
-          [>=] on the monotonic clock. A rung that {e succeeds} past the
+       (* The wall budget is re-checked before every rung (and again
+          before each optional stage below): a rung that burns the whole
+          budget and then fails must not let the next rung start — with
+          [wall_seconds = Some 0.] the pipeline exhausts before the first
+          rung, deterministically, because the deadline compare is [>=]
+          on the monotonic clock. A rung that {e succeeds} past the
           deadline still wins: a complete tree is a better answer than a
           timeout, and only the optional stages after it are skipped. *)
        let rec ladder errors = function
          | [] -> Error (List.rev errors)
-         | (stage, _action, f) :: rest ->
-           if out_of_time () then Error (List.rev (time_error stage :: errors))
-           else begin
-             Util.Obs.incr rungs_counter;
-             match attempt stage f with
-             | Ok tree -> Ok (stage, tree)
-             | Error e ->
-               (match rest with
-                | (next_stage, next_action, _) :: _ ->
-                  on_event { stage = next_stage; action = next_action; error = e }
-                | [] -> ());
-               ladder (e :: errors) rest
-           end
+         | (stage, action, rung) :: rest ->
+           (match rung () with
+            | None -> Error (List.rev errors)
+            | Some f ->
+              (match errors with
+               | e :: _ -> on_event { stage; action; error = e }
+               | [] -> ());
+              if out_of_time () then Error (List.rev (time_error stage :: errors))
+              else begin
+                Util.Obs.incr rungs_counter;
+                match attempt stage f with
+                | Ok tree -> Ok (stage, tree)
+                | Error e -> ladder (e :: errors) rest
+              end)
        in
        (match ladder [] rungs with
         | Error _ as err -> err

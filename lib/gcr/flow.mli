@@ -126,15 +126,19 @@ val run_checked :
     as [Degenerate_input] errors. Stray exceptions inside a stage are
     converted through {!Util.Gcr_error.of_exn} with the stage attached.
 
-    Routing walks a degradation ladder of at most four rungs, emitting an
-    [event] per downgrade: [route:sharded] (the region-parallel engine,
-    only when [options] request sharding), then [route] (the flat
-    NN-heap engine), then [route:tables] (the same engine with the
-    signature kernel disabled: direct IFT/IMATT scans), then
-    [route:tables:skew-budget] (a relaxed-skew-budget retry); only when
-    every rung fails is [Error] returned, carrying one typed error per
-    rung in order. Every rung costs what the flat route costs, so no
-    fallback needs more memory than the failure it recovers from. The
+    Routing walks a degradation ladder of at most three rungs, emitting
+    an [event] per downgrade: [route:sharded] (the region-parallel
+    engine, only when [options] request sharding), then [route] (the
+    flat NN-heap engine: the greedy Eq. (3) merge, then the DME
+    embedding), then [route:skew-budget] (the topology [route] merged,
+    embedded again under a relaxed skew budget; it merges nothing, and
+    it is not tried when [route] failed before it had a topology). Only
+    when every rung tried fails is [Error] returned, carrying one typed
+    error per rung in order. A failing run therefore merges at most
+    [n - 1] times per routing rung and never for the retry. Under
+    [Paranoid], a signature kernel that disagrees with its own tables
+    fails with the [Engine_mismatch] of {!Verify}'s enable check, as the
+    serve audit does: no rung re-routes on table scans. The
     post-route stages (reduce, share, size — {!optimize}'s list) degrade
     to "skip the stage": the routed tree is already a correct answer, so
     a failing optimisation pass is dropped with an event rather than
@@ -145,8 +149,8 @@ val run_checked :
     the partial (routed but unoptimised) result with an event, or
     [Resource_limit] when no tree exists yet.
 
-    The wall budget is re-checked between every pair of ladder rungs and
-    again before each optional stage, so [wall_seconds = Some 0.]
+    The wall budget is re-checked before every ladder rung and again
+    before each optional stage, so [wall_seconds = Some 0.]
     deterministically yields [Error [Resource_limit _]] without running
     any engine. A rung that succeeds past the deadline still returns its
     tree (a complete answer beats a timeout); only the optional stages
@@ -159,8 +163,8 @@ val run_checked :
 type checked = {
   tree : Gated_tree.t;
   rung : string;
-      (** the ladder rung that produced the routed tree, e.g. ["route"]
-          or ["route:tables"] *)
+      (** the ladder rung that produced the routed tree: ["route"],
+          ["route:sharded"] or ["route:skew-budget"] *)
   degraded : event list;  (** degradation events, in emission order *)
 }
 (** {!run_checked}'s result with its provenance attached. *)

@@ -186,72 +186,3 @@ let gate_location t v = Clocktree.Embed.gate_location t.embed v
 let is_gated t v = t.kind.(v) = Gated
 
 let kinds_copy t = Array.copy t.kind
-
-let check_invariants t =
-  let fail fmt =
-    Printf.ksprintf
-      (fun detail ->
-        Util.Gcr_error.raise_t
-          (Util.Gcr_error.Engine_mismatch
-             { stage = "Gated_tree.check_invariants"; detail }))
-      fmt
-  in
-  Clocktree.Embed.check_consistency t.embed;
-  let topo = t.topo in
-  if t.kind.(Clocktree.Topo.root topo) <> Plain then
-    fail "root must have no edge hardware";
-  Clocktree.Topo.iter_bottom_up topo (fun v ->
-      match Clocktree.Topo.children topo v with
-      | None -> ()
-      | Some (a, b) ->
-        (* enable nesting: child module sets are subsets of the parent's *)
-        let sub c =
-          if
-            not
-              (Activity.Module_set.subset t.enables.(c).Enable.mods
-                 t.enables.(v).Enable.mods)
-          then fail "enable of %d not nested in %d" c v
-        in
-        sub a;
-        sub b;
-        if t.enables.(v).Enable.p +. 1e-12 < t.enables.(a).Enable.p then
-          fail "parent enable less probable than child");
-  (* governing correctness *)
-  Clocktree.Topo.iter_top_down topo (fun v ->
-      let g = t.governing.(v) in
-      match Clocktree.Topo.parent topo v with
-      | None -> if g <> -1 then fail "root edge governed"
-      | Some p ->
-        let expected = if t.kind.(v) = Gated then v else t.governing.(p) in
-        if g <> expected then fail "governing(%d) wrong" v);
-  (* share-group well-formedness *)
-  let n = Clocktree.Topo.n_nodes topo in
-  let same_enable (a : Enable.t) (b : Enable.t) =
-    Activity.Module_set.equal a.Enable.mods b.Enable.mods
-    && a.Enable.p = b.Enable.p
-    && a.Enable.ptr = b.Enable.ptr
-  in
-  Array.iteri
-    (fun v r ->
-      if r < 0 || r >= n then fail "share_rep(%d) out of range" v;
-      if t.share_rep.(r) <> r then fail "share_rep(%d) not a representative" v;
-      if t.kind.(v) = Gated then begin
-        if t.kind.(r) <> Gated then fail "share_rep(%d) is not a gate" v;
-        if not (same_enable t.shared_enables.(v) t.shared_enables.(r)) then
-          fail "shared enable of %d differs from its representative %d" v r;
-        (* the shared enable must open whenever the node's own does *)
-        if
-          not
-            (Activity.Module_set.subset t.enables.(v).Enable.mods
-               t.shared_enables.(v).Enable.mods)
-        then fail "shared enable of %d drops its own modules" v
-      end
-      else if r <> v then fail "non-gate %d in a share group" v)
-    t.share_rep;
-  if t.sharing = None then
-    Array.iteri
-      (fun v r ->
-        if r <> v then fail "share_rep(%d) non-identity without sharing" v;
-        if not (same_enable t.shared_enables.(v) t.enables.(v)) then
-          fail "shared enable of %d differs without sharing" v)
-      t.share_rep

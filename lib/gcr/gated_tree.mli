@@ -132,10 +132,3 @@ val gate_location : t -> int -> Geometry.Point.t
 val is_gated : t -> int -> bool
 
 val kinds_copy : t -> edge_kind array
-
-val check_invariants : t -> unit
-(** Embedding consistency, nesting of enables along root paths, governing
-    correctness, and share-group well-formedness (representative closure,
-    group-uniform shared enables that subsume each member's own enable,
-    identity when no sharing ran); raises [Failure] with a diagnostic on
-    violation. *)

@@ -104,14 +104,13 @@ let p_union_batch t v us cnt out =
       out.(i) <- p_union t v us.(i)
     done
 
-(* A consumed root's signature is never read again: drop it so only the
-   active roots' signatures stay live. *)
+(* A consumed root's enable and signature are never read again: drop
+   them so only the active roots' stay live. *)
 let merge t a b =
   let k = Clocktree.Grow.merge t.grow a b in
-  let ga = grown t a and gb = grown t b in
-  set_enable t k (Enable.grow_merge t.profile ga gb);
-  t.enables.(a) <- Some (Enable.adopt ga.Enable.enable);
-  t.enables.(b) <- Some (Enable.adopt gb.Enable.enable);
+  set_enable t k (Enable.grow_merge t.profile (grown t a) (grown t b));
+  t.enables.(a) <- None;
+  t.enables.(b) <- None;
   t.sigs.(a) <- no_signature;
   t.sigs.(b) <- no_signature;
   k

@@ -70,12 +70,12 @@ val grow : forest -> Clocktree.Grow.t
 (** The underlying merge state (active roots, regions, merge list). *)
 
 val enable : forest -> int -> Enable.t
-(** A node's enable. Raises [Invalid_argument] when it has none (a
-    {!bare} forest's node that was never adopted or merged). *)
+(** An active root's enable. Only active roots keep theirs: raises
+    [Invalid_argument] on a root consumed by a merge, and on a {!bare}
+    forest's node that was never adopted or merged. *)
 
 val grown : forest -> int -> Enable.grown
-(** A node's enable with its signature ([None] for a root consumed by a
-    merge: only active roots keep theirs). Raises as {!enable}. *)
+(** An active root's enable with its signature. Raises as {!enable}. *)
 
 val adopt_enable : forest -> int -> Enable.grown -> unit
 (** Set a node's enable and signature: the value {!merge} would have

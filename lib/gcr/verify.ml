@@ -117,7 +117,13 @@ let enable_consistency (t : Gated_tree.t) =
           "node %d: stored Ptr(EN) = %.17g, direct table scan over %s gives %.17g"
           v en.Enable.ptr
           (set_to_string en.Enable.mods)
-          ptr)
+          ptr;
+      (* a gate is on whenever a gate below it is *)
+      match Clocktree.Topo.parent topo v with
+      | Some p when t.Gated_tree.enables.(p).Enable.p +. 1e-12 < en.Enable.p ->
+        fail "enable_consistency" "node %d: P(EN) = %.17g below its child %d's %.17g"
+          p t.Gated_tree.enables.(p).Enable.p v en.Enable.p
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Governing chain                                                    *)
@@ -239,13 +245,31 @@ let sharing (t : Gated_tree.t) =
       if t.Gated_tree.share_rep.(v) <> v then
         fail "sharing" "share_rep(%d) = %d with no sharing recorded" v
           t.Gated_tree.share_rep.(v);
+      let sh = t.Gated_tree.shared_enables.(v) and en = t.Gated_tree.enables.(v) in
       if
         not
-          (Activity.Module_set.equal t.Gated_tree.shared_enables.(v).Enable.mods
-             t.Gated_tree.enables.(v).Enable.mods)
+          (Activity.Module_set.equal sh.Enable.mods en.Enable.mods
+          && sh.Enable.p = en.Enable.p
+          && sh.Enable.ptr = en.Enable.ptr)
       then fail "sharing" "node %d: shared enable differs with no sharing" v
     done
   | Some (min_instances, _eps) ->
+    (* group structure: every representative is in range and its own
+       representative, gates are grouped under gates, and any other node
+       is its own group *)
+    Array.iteri
+      (fun v r ->
+        if r < 0 || r >= n then
+          fail "sharing" "share_rep(%d) = %d outside [0, %d)" v r n;
+        if t.Gated_tree.share_rep.(r) <> r then
+          fail "sharing" "share_rep(%d) = %d is not a representative" v r;
+        if t.Gated_tree.kind.(v) = Gated_tree.Gated then begin
+          if t.Gated_tree.kind.(r) <> Gated_tree.Gated then
+            fail "sharing" "gate %d: representative %d is not a gate" v r
+        end
+        else if r <> v then
+          fail "sharing" "non-gate %d in the share group of %d" v r)
+      t.Gated_tree.share_rep;
     (* fanout floor: every surviving gate covers >= min_instances sinks *)
     let leaves = Array.make n 0 in
     Clocktree.Topo.iter_bottom_up topo (fun v ->
@@ -303,7 +327,7 @@ let sharing (t : Gated_tree.t) =
 
 let structural ?embed t =
   finite t;
-  Gated_tree.check_invariants t;
+  Clocktree.Embed.check_consistency t.Gated_tree.embed;
   governing_chain t;
   enable_consistency t;
   sharing t;

@@ -60,10 +60,6 @@ val is_point : ?eps:float -> t -> bool
 val is_segment : ?eps:float -> t -> bool
 (** Degenerate in exactly one dimension: a genuine Manhattan arc. *)
 
-val width_u : t -> float
-
-val width_v : t -> float
-
 val corner_points : t -> Point.t list
 (** The up-to-four distinct corners mapped back to chip space (a tilted
     rectangle, segment, or point), in drawing order. *)

@@ -53,26 +53,9 @@ let reject_of_error ?id ?retry_after_ms e =
       retry_after_ms;
     }
 
-(* Writer: same dialect as {!Util.Obs.to_json} — single line, fixed
-   field order, [%.17g] floats, escaped ASCII strings. *)
-
-let add_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.add_char b '"'
-
-let add_float b x = Buffer.add_string b (Printf.sprintf "%.17g" x)
+(* Writer: {!Util.Obs.Json}'s, the dialect of {!Util.Obs.to_json} —
+   single line, fixed field order. *)
+let add_str, add_float = Util.Obs.Json.(add_string, add_float)
 
 let request_to_json r =
   let b = Buffer.create (String.length r.scenario + 128) in

@@ -118,16 +118,6 @@ let root = ref (fresh_root ())
 
 let stack : node list ref = ref []
 
-(* Words allocated on the calling domain so far; the delta across a span
-   is its allocation cost (other domains' allocations are theirs).
-   [Gc.minor_words] reads the allocation pointer precisely, whereas
-   [quick_stat]'s minor_words only refreshes at minor collections and
-   would report 0 for short spans; major_words - promoted_words adds
-   direct major-heap allocations (large arrays). *)
-let alloc_words_now () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-
 let span ~name f =
   if not (Atomic.get on) then f ()
   else begin
@@ -143,12 +133,17 @@ let span ~name f =
         n
     in
     stack := node :: !stack;
-    let a0 = alloc_words_now () in
+    (* Words allocated in this domain's minor heap: [Gc.minor_words]
+       reads the allocation pointer, so the delta does not depend on when
+       collections run (other domains' allocations are theirs). Direct
+       major-heap allocations (large arrays) are left out: major_words -
+       promoted_words would add them, but moves with GC timing in OCaml 5. *)
+    let a0 = Gc.minor_words () in
     let t0 = Clock.now () in
     let finish () =
       node.calls <- node.calls + 1;
       node.node_time <- node.node_time +. (Clock.now () -. t0);
-      node.node_alloc <- node.node_alloc +. (alloc_words_now () -. a0);
+      node.node_alloc <- node.node_alloc +. (Gc.minor_words () -. a0);
       match !stack with
       | n :: rest when n == node -> stack := rest
       | _ -> stack := [] (* unbalanced close; recover rather than corrupt *)
@@ -306,76 +301,11 @@ let render r =
     Buffer.add_string buf "empty run report (was tracing enabled?)\n";
   Buffer.contents buf
 
-
 (* ------------------------------------------------------------------ *)
 (* JSON (stable, dependency-free)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let json_version = 1
-
-let escape_to buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
-
-(* %.17g round-trips every finite double bit-for-bit through
-   float_of_string, which is what makes of_json (to_json r) = r. *)
-let add_float buf x = Buffer.add_string buf (Printf.sprintf "%.17g" x)
-
-let to_json r =
-  let buf = Buffer.create 1024 in
-  let str s =
-    Buffer.add_char buf '"';
-    escape_to buf s;
-    Buffer.add_char buf '"'
-  in
-  let rec span_json s =
-    Buffer.add_string buf "{\"name\":";
-    str s.name;
-    Buffer.add_string buf (Printf.sprintf ",\"calls\":%d,\"time_s\":" s.calls);
-    add_float buf s.time_s;
-    Buffer.add_string buf ",\"alloc_words\":";
-    add_float buf s.alloc_words;
-    Buffer.add_string buf ",\"children\":[";
-    List.iteri
-      (fun i child ->
-        if i > 0 then Buffer.add_char buf ',';
-        span_json child)
-      s.children;
-    Buffer.add_string buf "]}"
-  in
-  Buffer.add_string buf (Printf.sprintf "{\"version\":%d,\"spans\":[" json_version);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      span_json s)
-    r.spans;
-  Buffer.add_string buf "],\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      str k;
-      Buffer.add_string buf (Printf.sprintf ":%d" v))
-    r.counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      str k;
-      Buffer.add_char buf ':';
-      add_float buf v)
-    r.gauges;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
 
 exception Bad_json of string
 
@@ -384,9 +314,10 @@ exception Bad_json of string
    excerpt instead of echoing a bare offset. *)
 exception Bad_json_at of string * int
 
-(* Tiny dependency-free JSON reader, public so tooling that consumes the
-   harness artifacts (bench trajectory compare, report diffing) parses
-   them with the same code that round-trips run reports. *)
+(* Tiny dependency-free JSON reader and writer, public so tooling that
+   consumes the harness artifacts (bench trajectory compare, report
+   diffing) parses them with the same code that round-trips run reports,
+   and every emitter writes strings and floats one way. *)
 module Json = struct
   type t =
     | Null
@@ -397,6 +328,29 @@ module Json = struct
     | Obj of (string * t) list
 
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+
+  (* The one writer of the dialect every emitter speaks (run reports,
+     serve frames, bench trajectory rows): ASCII strings with control
+     characters escaped, floats at [%.17g]. *)
+  let add_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | ch when Char.code ch < 32 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+        | ch -> Buffer.add_char buf ch)
+      s;
+    Buffer.add_char buf '"'
+
+  (* %.17g round-trips every finite double bit-for-bit through
+     float_of_string, which is what makes of_json (to_json r) = r. *)
+  let add_float buf x = Buffer.add_string buf (Printf.sprintf "%.17g" x)
 
   let parse_located text =
   let n = String.length text in
@@ -552,6 +506,48 @@ module Json = struct
     | Ok v -> Ok v
     | Error (msg, off) -> Error (Printf.sprintf "%s at offset %d" msg off)
 end
+
+let to_json r =
+  let buf = Buffer.create 1024 in
+  let str = Json.add_string buf and add_float = Json.add_float in
+  let rec span_json s =
+    Buffer.add_string buf "{\"name\":";
+    str s.name;
+    Buffer.add_string buf (Printf.sprintf ",\"calls\":%d,\"time_s\":" s.calls);
+    add_float buf s.time_s;
+    Buffer.add_string buf ",\"alloc_words\":";
+    add_float buf s.alloc_words;
+    Buffer.add_string buf ",\"children\":[";
+    List.iteri
+      (fun i child ->
+        if i > 0 then Buffer.add_char buf ',';
+        span_json child)
+      s.children;
+    Buffer.add_string buf "]}"
+  in
+  Buffer.add_string buf (Printf.sprintf "{\"version\":%d,\"spans\":[" json_version);
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      span_json s)
+    r.spans;
+  Buffer.add_string buf "],\"counters\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      str k;
+      Buffer.add_string buf (Printf.sprintf ":%d" v))
+    r.counters;
+  Buffer.add_string buf "},\"gauges\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      str k;
+      Buffer.add_char buf ':';
+      add_float buf v)
+    r.gauges;
+  Buffer.add_string buf "}}\n";
+  Buffer.contents buf
 
 let of_json_located text =
   let field fields k =

@@ -78,11 +78,11 @@ val set : gauge -> float -> unit
 
 val span : name:string -> (unit -> 'a) -> 'a
 (** [span ~name f] runs [f] and, when tracing is enabled, records its wall
-    time and calling-domain GC allocation delta under [name], nested in
-    the innermost enclosing span. Same-name siblings aggregate (their
-    [calls] field counts invocations). The span is closed — and the stack
-    unwound — even when [f] raises. While disabled, [span ~name f] is
-    [f ()]. *)
+    time and calling-domain minor-heap allocation delta under [name],
+    nested in the innermost enclosing span. Same-name siblings aggregate
+    (their [calls] field counts invocations). The span is closed — and
+    the stack unwound — even when [f] raises. While disabled,
+    [span ~name f] is [f ()]. *)
 
 (** {1 Reports} *)
 
@@ -91,7 +91,11 @@ type span_report = {
   calls : int;
   time_s : float;  (** total wall time across all [calls] *)
   alloc_words : float;
-      (** total words allocated on the calling domain across all [calls] *)
+      (** total words allocated in the calling domain's minor heap across
+          all [calls] ({!Gc.minor_words}). Blocks too large for the minor
+          heap go straight to the major heap and are not counted: the
+          count that would add them moves with GC timing in OCaml 5, so
+          it could not be compared from run to run. *)
   children : span_report list;  (** in first-entered order *)
 }
 
@@ -130,10 +134,11 @@ val of_json_located : string -> (report, string * int) result
     the document is well-formed JSON of the wrong shape), so CLI sinks
     can point a caret at the offending byte of the source text. *)
 
-(** Minimal dependency-free JSON reader, shared with the tooling that
-    consumes harness artifacts (bench trajectory compare, report
-    diffing). Numbers are floats; strings must be ASCII after escape
-    processing (the only form the writers emit). *)
+(** Minimal dependency-free JSON reader and writer, shared with the
+    tooling that consumes harness artifacts (bench trajectory compare,
+    report diffing) and with every emitter ({!to_json}, the serve
+    protocol, trajectory rows). Numbers are floats; strings must be ASCII
+    after escape processing (the only form the writers emit). *)
 module Json : sig
   type t =
     | Null
@@ -151,4 +156,13 @@ module Json : sig
 
   val parse_located : string -> (t, string * int) result
   (** {!parse} with the failing byte offset alongside the message. *)
+
+  val add_string : Buffer.t -> string -> unit
+  (** Append a quoted JSON string: quote, backslash, newline, carriage
+      return and tab get their two-character escapes, other control
+      characters a [\u00XX] escape; every other byte is copied. *)
+
+  val add_float : Buffer.t -> float -> unit
+  (** Append a float at [%.17g], which {!parse} reads back bit for bit
+      (finite values only: JSON has no NaN or infinity). *)
 end

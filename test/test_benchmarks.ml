@@ -210,7 +210,7 @@ let test_suite_tiny_scaled () =
         Gcr.Flow.run case.Benchmarks.Suite.config case.Benchmarks.Suite.profile
           case.Benchmarks.Suite.sinks
       in
-      Gcr.Gated_tree.check_invariants tree;
+      Gcr.Verify.structural tree;
       Alcotest.(check int) (Printf.sprintf "%d sinks routed" k) k
         (Clocktree.Topo.n_sinks tree.Gcr.Gated_tree.topo))
     [ 1; 2; 3 ]

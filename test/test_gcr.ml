@@ -168,7 +168,7 @@ let test_gated_tree_node_load () =
 
 let test_gated_tree_invariants () =
   List.iter
-    (fun kind -> Gcr.Gated_tree.check_invariants (two_sink_tree kind))
+    (fun kind -> Gcr.Verify.structural (two_sink_tree kind))
     [ Gcr.Gated_tree.Plain; Gcr.Gated_tree.Buffered; Gcr.Gated_tree.Gated ]
 
 let test_gated_tree_rebuild () =
@@ -176,7 +176,7 @@ let test_gated_tree_rebuild () =
   let kinds = Gcr.Gated_tree.kinds_copy t in
   kinds.(0) <- Gcr.Gated_tree.Plain;
   let t' = Gcr.Gated_tree.rebuild_with_kinds t kinds in
-  Gcr.Gated_tree.check_invariants t';
+  Gcr.Verify.structural t';
   Alcotest.(check int) "one gate left" 1 (Gcr.Gated_tree.gate_count t');
   (* sink 0's edge is now governed by the root: free running *)
   check_float "freed edge" 1.0 (Gcr.Gated_tree.edge_probability t' 0);
@@ -251,7 +251,7 @@ let test_cost_merge_sc_formula () =
 let test_router_end_to_end () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Router.route config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   Alcotest.(check int) "all edges gated" (2 * 24 - 2) (Gcr.Gated_tree.gate_count tree);
   let report = Gcr.Report.of_tree tree in
   Alcotest.(check bool) "zero skew" true
@@ -381,7 +381,7 @@ let test_router_nan_region_typed_error () =
 let test_buffered_baseline () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Buffered.route config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   Alcotest.(check int) "no gates" 0 (Gcr.Gated_tree.gate_count tree);
   Alcotest.(check int) "buffers everywhere" (2 * 24 - 2) (Gcr.Gated_tree.buffer_count tree);
   check_float "no control cost" 0.0 (Gcr.Cost.w_ctrl tree)
@@ -421,7 +421,7 @@ let test_reduction_greedy_improves () =
   let config, profile, sinks = setup ~n:24 ~usage:0.3 () in
   let tree = Gcr.Router.route config profile sinks in
   let reduced = Gcr.Gate_reduction.reduce_greedy tree in
-  Gcr.Gated_tree.check_invariants reduced;
+  Gcr.Verify.structural reduced;
   Alcotest.(check bool) "greedy does not worsen W" true
     (Gcr.Cost.w_total reduced <= Gcr.Cost.w_total tree *. 1.01);
   Alcotest.(check bool) "some gates removed" true
@@ -445,7 +445,7 @@ let test_reduction_optimal_beats_heuristics () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Router.route config profile sinks in
   let optimal = Gcr.Gate_reduction.reduce_optimal tree in
-  Gcr.Gated_tree.check_invariants optimal;
+  Gcr.Verify.structural optimal;
   let w_opt = Gcr.Cost.w_total optimal in
   let w_greedy = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_greedy tree) in
   let w_rules = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_rules tree) in
@@ -565,7 +565,7 @@ let test_reduction_rules_runs () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Router.route config profile sinks in
   let reduced = Gcr.Gate_reduction.reduce_rules tree in
-  Gcr.Gated_tree.check_invariants reduced;
+  Gcr.Verify.structural reduced;
   Alcotest.(check bool) "rules remove something" true
     (Gcr.Gated_tree.gate_count reduced < Gcr.Gated_tree.gate_count tree)
 
@@ -621,7 +621,7 @@ let test_sizing_uniform () =
   let config, profile, sinks = setup ~n:12 () in
   let tree = Gcr.Router.route config profile sinks in
   let sized = Gcr.Sizing.uniform tree 2.0 in
-  Gcr.Gated_tree.check_invariants sized;
+  Gcr.Verify.structural sized;
   Array.iter (fun s -> check_float "scale 2" 2.0 s) sized.Gcr.Gated_tree.scale;
   (* doubled gates: double the cell area *)
   let a0 = (Gcr.Area.of_tree tree).Gcr.Area.gates in
@@ -642,7 +642,7 @@ let test_sizing_proportional () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Router.route config profile sinks in
   let sized = Gcr.Sizing.proportional tree in
-  Gcr.Gated_tree.check_invariants sized;
+  Gcr.Verify.structural sized;
   (* zero skew must be preserved through the re-embedding *)
   let r = Gcr.Report.of_tree sized in
   Alcotest.(check bool) "zero skew" true
@@ -669,7 +669,7 @@ let test_sizing_tapered () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Router.route config profile sinks in
   let sized = Gcr.Sizing.tapered ~min_scale:1.0 tree in
-  Gcr.Gated_tree.check_invariants sized;
+  Gcr.Verify.structural sized;
   (* siblings always share a scale *)
   Clocktree.Topo.iter_bottom_up sized.Gcr.Gated_tree.topo (fun v ->
       match Clocktree.Topo.children sized.Gcr.Gated_tree.topo v with
@@ -712,7 +712,7 @@ let test_skew_budget_route () =
   let config, profile, sinks = setup ~n:24 () in
   let budget = 5000.0 in
   let tree = Gcr.Router.route ~skew_budget:budget config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   check_float "budget recorded" budget tree.Gcr.Gated_tree.skew_budget;
   let r = Gcr.Report.of_tree tree in
   Alcotest.(check bool)
@@ -738,7 +738,7 @@ let test_skew_budget_validation () =
 let test_activity_router_end_to_end () =
   let config, profile, sinks = setup ~n:20 () in
   let tree = Gcr.Activity_router.route config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   let r = Gcr.Report.of_tree tree in
   Alcotest.(check bool) "zero skew" true
     (r.Gcr.Report.skew /. (1.0 +. r.Gcr.Report.phase_delay) < 1e-9)
@@ -818,7 +818,7 @@ let test_activity_router_analytic () =
   let analytic = Activity.Profile.of_model (Benchmarks.Workload.cpu_model rtl) in
   let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1000.0) () in
   let tree = Gcr.Activity_router.route config analytic sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   Alcotest.(check int) "every sink routed" n
     (Clocktree.Topo.n_sinks tree.Gcr.Gated_tree.topo)
 
@@ -837,7 +837,7 @@ let test_refine_never_worse () =
   let config, profile, sinks = setup ~n:14 () in
   let tree = Gcr.Router.route config profile sinks in
   let refined, stats = Gcr.Refine.nni ~max_passes:2 tree in
-  Gcr.Gated_tree.check_invariants refined;
+  Gcr.Verify.structural refined;
   Alcotest.(check bool) "not worse" true
     (stats.Gcr.Refine.w_after <= stats.Gcr.Refine.w_before +. 1e-9);
   Alcotest.(check (float 1e-9)) "w_after is the tree's W"
@@ -880,7 +880,7 @@ let test_refine_fixes_bad_topology () =
     true
     (stats.Gcr.Refine.moves > 0
     && Gcr.Cost.w_total refined < Gcr.Cost.w_total bad);
-  Gcr.Gated_tree.check_invariants refined
+  Gcr.Verify.structural refined
 
 let test_refine_validation () =
   let config, profile, sinks = setup ~n:4 () in
@@ -911,7 +911,7 @@ let test_analytic_profile_routes () =
   let analytic = Activity.Profile.of_model model in
   let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1000.0) () in
   let tree = Gcr.Router.route config analytic sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   Alcotest.(check bool) "positive W" true (Gcr.Cost.w_total tree > 0.0);
   (* a long sampled stream gives nearly the same cost on the same topology *)
   let sampled = Activity.Profile.generate model ~seed:11 ~length:60_000 in
@@ -960,7 +960,7 @@ let test_flow_options () =
     }
   in
   let tree = Gcr.Flow.run ~options config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   check_float "budget" 1000.0 tree.Gcr.Gated_tree.skew_budget;
   Array.iteri
     (fun v s ->
@@ -1053,7 +1053,7 @@ let test_flow_sharded_run () =
   let config, profile, sinks = setup ~n:48 () in
   let options = { Gcr.Flow.default with Gcr.Flow.shards = Gcr.Flow.Shards 4 } in
   let tree = Gcr.Flow.run ~options config profile sinks in
-  Gcr.Gated_tree.check_invariants tree;
+  Gcr.Verify.structural tree;
   Alcotest.(check string) "label carries shard count" "gated+greedy+sharded:4"
     (Gcr.Flow.label options);
   Alcotest.(check string) "auto label" "gated+greedy+sharded"
@@ -1226,7 +1226,7 @@ let test_eco_no_drift_keeps_topology () =
   Alcotest.(check bool) "topology preserved" true
     (Clocktree.Topo.equal tree.Gcr.Gated_tree.topo
        report.Gcr.Eco.tree.Gcr.Gated_tree.topo);
-  Gcr.Gated_tree.check_invariants report.Gcr.Eco.tree
+  Gcr.Verify.structural report.Gcr.Eco.tree
 
 let test_eco_local_repair () =
   let rtl, base_trace, config, profile, sinks = eco_setup () in
@@ -1247,7 +1247,7 @@ let test_eco_local_repair () =
   Alcotest.(check int) "only the local sinks re-merged" 2 report.Gcr.Eco.resinks;
   Alcotest.(check bool) "local, not a full rebuild" false
     report.Gcr.Eco.full_rebuild;
-  Gcr.Gated_tree.check_invariants report.Gcr.Eco.tree;
+  Gcr.Verify.structural report.Gcr.Eco.tree;
   let scratch = Gcr.Flow.run ~options config drifted_profile sinks in
   let w_rep = Gcr.Cost.w_total report.Gcr.Eco.tree
   and w_scr = Gcr.Cost.w_total scratch in

@@ -203,7 +203,7 @@ let test_trace_stages_once () =
   List.iter
     (fun rung ->
       Alcotest.(check bool) (rung ^ " did not run") true (top rung = None))
-    [ "route:sharded"; "route:tables"; "route:tables:skew-budget" ];
+    [ "route:sharded"; "route:skew-budget" ];
   Alcotest.(check (option int))
     "one ladder attempt" (Some 1)
     (List.assoc_opt "flow.rungs" report.Util.Obs.counters)
@@ -291,6 +291,83 @@ let test_run_checked_info_zero_budget () =
   | Error errs ->
     Alcotest.failf "expected Resource_limit first, got: %s"
       (String.concat "; " (List.map Util.Gcr_error.to_string errs))
+
+let merge_steps report =
+  Option.value ~default:0
+    (List.assoc_opt "greedy.merge_steps" report.Util.Obs.counters)
+
+let errors_to_string errs =
+  String.concat "; " (List.map Util.Gcr_error.to_string errs)
+
+(* A seeded draw of 2-41 random sinks on a die of side 1e10. One ulp of
+   a coordinate there (2^-19 ~ 1.9e-6) exceeds an absolute 1e-6 region
+   containment slack, which rejected this valid tree on every rung after
+   routing it three times; the slack now grows with the coordinates, and
+   the first rung answers after n - 1 merges. *)
+let test_large_die_paranoid () =
+  let scale = 1e10 in
+  let prng = Util.Prng.create 11 in
+  let n = 2 + Util.Prng.int prng 40 in
+  let sinks =
+    Array.init n (fun id ->
+        let x = Util.Prng.float prng scale in
+        let y = Util.Prng.float prng scale in
+        let cap = 1.0 +. Util.Prng.float prng 9.0 in
+        let module_id = Util.Prng.int prng 4 in
+        mk_sink id x y cap module_id)
+  in
+  let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:scale) () in
+  let result, report =
+    Util.Obs.run (fun () ->
+        Gcr.Flow.run_checked_info ~mode:Gcr.Flow.Paranoid config profile4 sinks)
+  in
+  match result with
+  | Error errs -> Alcotest.failf "large die rejected: %s" (errors_to_string errs)
+  | Ok { Gcr.Flow.rung; _ } ->
+    Alcotest.(check string) "first rung wins" "route" rung;
+    Alcotest.(check int) "one merge per sink pair" (n - 1) (merge_steps report)
+
+(* A kernel built from another stream of the same RTL passes every
+   dimension check but answers P/Ptr for the other stream's tables.
+   Paranoid names it at the enable check, as the serve audit does, and
+   does not merge again to route around it: the retry only re-embeds. *)
+let test_foreign_kernel_paranoid () =
+  let model =
+    Benchmarks.Workload.cpu_model
+      (Benchmarks.Workload.make_rtl ~n_modules:4 ~n_instructions:6 ~usage:0.5
+         ~seed:3 ())
+  in
+  let own = Activity.Profile.generate model ~seed:1 ~length:200 in
+  let other = Activity.Profile.generate model ~seed:2 ~length:200 in
+  let profile =
+    Activity.Profile.of_tables
+      ?kernel:(Activity.Profile.signature_kernel other)
+      (Activity.Profile.stream own) (Activity.Profile.ift own)
+      (Activity.Profile.imatt own)
+  in
+  let sinks = sinks16 () in
+  let result, report =
+    Util.Obs.run (fun () ->
+        Gcr.Flow.run_checked_info ~mode:Gcr.Flow.Paranoid (config ()) profile
+          sinks)
+  in
+  (match result with
+  | Ok { Gcr.Flow.rung; _ } ->
+    Alcotest.failf "foreign kernel accepted on rung %s" rung
+  | Error
+      [
+        Util.Gcr_error.Engine_mismatch { stage = "invariant:enable_consistency"; _ };
+        _;
+      ] -> ()
+  | Error errs ->
+    Alcotest.failf
+      "expected an enable-check Engine_mismatch, then the retry's error, got: %s"
+      (errors_to_string errs));
+  Alcotest.(check (option int))
+    "route and the re-embedding retry" (Some 2)
+    (List.assoc_opt "flow.rungs" report.Util.Obs.counters);
+  Alcotest.(check int) "one merge per sink pair" (Array.length sinks - 1)
+    (merge_steps report)
 
 (* ------------------------------------------------------------------ *)
 (* gcr stats on damaged trace files (subprocess)                      *)
@@ -511,6 +588,10 @@ let () =
             test_run_checked_info_clean;
           Alcotest.test_case "run_checked_info zero budget" `Quick
             test_run_checked_info_zero_budget;
+          Alcotest.test_case "large die passes paranoid" `Quick
+            test_large_die_paranoid;
+          Alcotest.test_case "foreign kernel fails paranoid" `Quick
+            test_foreign_kernel_paranoid;
         ] );
       ( "stats cli",
         [

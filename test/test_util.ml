@@ -392,6 +392,37 @@ let test_obs_span_exception_unwind () =
     | kids -> Alcotest.failf "expected b under a, got %d kids" (List.length kids))
   | _ -> Alcotest.fail "unexpected span shape"
 
+(* A span counts the same words however the collector's work falls: the
+   same computation reads the same count before and after a full major
+   collection, though the list outgrows the minor heap and is promoted. *)
+let test_obs_span_words_deterministic () =
+  let words () =
+    let kept, report =
+      Util.Obs.run (fun () ->
+          Util.Obs.span ~name:"work" (fun () ->
+              List.init 100_000 (fun i -> float_of_int i)))
+    in
+    ignore (Sys.opaque_identity kept);
+    match report.Util.Obs.spans with
+    | [ s ] -> s.Util.Obs.alloc_words
+    | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
+  in
+  let first = words () in
+  Gc.full_major ();
+  let second = words () in
+  Alcotest.(check (float 0.0)) "same words both times" first second;
+  Alcotest.(check bool) "the list is counted" true (first >= 500_000.0)
+
+(* The one JSON string writer: every ASCII byte reads back unchanged. *)
+let test_obs_json_string_writer () =
+  let s = String.init 128 Char.chr in
+  let b = Buffer.create 256 in
+  Util.Obs.Json.add_string b s;
+  match Util.Obs.Json.parse (Buffer.contents b) with
+  | Ok (Util.Obs.Json.Str s') -> Alcotest.(check string) "round trip" s s'
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error m -> Alcotest.failf "unparsable: %s" m
+
 let test_obs_parallel_counter_totals () =
   let c = Util.Obs.counter "test.obs.par" in
   let n = 1000 in
@@ -554,5 +585,9 @@ let () =
           Alcotest.test_case "json round trip" `Quick test_obs_json_round_trip;
           Alcotest.test_case "json rejects garbage" `Quick
             test_obs_json_rejects_garbage;
+          Alcotest.test_case "span words are deterministic" `Quick
+            test_obs_span_words_deterministic;
+          Alcotest.test_case "json string writer" `Quick
+            test_obs_json_string_writer;
         ] );
     ]
